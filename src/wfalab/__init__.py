@@ -13,7 +13,7 @@ from .errors import (AuditError, ConfigError, EmptySetError, ExactnessError,
                      InvalidMetricError, RegionSpaceError, RequestIndexError,
                      SizeGuardError, SpaceMismatchError,
                      UnboundedDifferenceError, WfalabError)
-from .exact import common_denominator, fmt, frac, scaled_int
+from .exact import common_denominator, frac, scaled_int
 from .metric import (FiniteMatrix, IndexPoint, ProductPoint, RealLine,
                      RealPoint, Scaled, distance, idx, point_from_json,
                      point_key, point_to_json, product_distance, product_key,
@@ -26,8 +26,7 @@ from .potential import (Boks,CheckResult, CnnPotential, GeneralPotential,
                         region_slack, verify_step)
 from .problem import (Grid, Instance, RequestPoint, grid_after,
                       grid_points_on, request, serves)
-from .workfn import (SlackParam, WorkFunction, evaluate, initial,
-                     instance_scale, update)
+from .workfn import SlackParam, WorkFunction, initial, instance_scale
 
 __version__ = "0.1.0"
 
@@ -41,12 +40,11 @@ __all__ = [
     "SizeGuardError", "SlackParam", "SpaceMismatchError", "Spheres",
     "StepRecord", "UnboundedDifferenceError", "WfalabError", "WorkFunction",
     "common_denominator", "cone", "cone_envelope", "config_from_json",
-    "config_to_json", "default_constants", "distance", "evaluate", "f_value",
-    "fmt", "frac", "g_value", "greedy_step", "grid_after", "grid_points_on",
-    "h_value", "idx", "initial", "instance_scale", "max_difference", "min_f",
-    "min_g", "min_h", "phi", "point_from_json", "point_key", "point_to_json",
-    "pointwise_min", "product_distance", "product_key", "pt", "real",
-    "region_membership", "region_slack", "request", "resolve",
-    "retrospective_step", "run", "scaled_int", "serves", "update",
-    "verify_step", "wfa_minimizers", "wfa_step",
+    "config_to_json", "default_constants", "distance", "f_value", "frac",
+    "g_value", "greedy_step", "grid_after", "grid_points_on", "h_value", "idx",
+    "initial", "instance_scale", "max_difference", "min_f", "min_g", "min_h",
+    "phi", "point_from_json", "point_key", "point_to_json", "pointwise_min",
+    "product_distance", "product_key", "pt", "real", "region_membership",
+    "region_slack", "request", "resolve", "retrospective_step", "run",
+    "scaled_int", "serves", "verify_step", "wfa_minimizers", "wfa_step",
 ]

@@ -35,11 +35,6 @@ def frac(value) -> Fraction:
     )
 
 
-def fmt(value: Fraction) -> str:
-    """Render a Fraction as "p/q" (or "p" for integers)."""
-    return str(value)
-
-
 def common_denominator(values: Iterable[Fraction]) -> int:
     """lcm of the denominators of ``values`` (1 for an empty iterable)."""
     out = 1

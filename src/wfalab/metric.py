@@ -186,19 +186,6 @@ def point_from_json(raw) -> SpacePoint:
     raise SpaceMismatchError(f"cannot decode point from {raw!r}")
 
 
-def validate_finite_metric(table: Sequence[Sequence]) -> Optional[str]:
-    """Check a raw distance table against the metric axioms.
-
-    Returns None when the table is a metric, otherwise a short description of
-    the first violation found.  A non-square table raises InvalidMetricError
-    because no row/column reading even makes sense for it.
-    """
-    rows = tuple(tuple(frac(e) for e in row) for row in table)
-    if not rows or any(len(row) != len(rows) for row in rows):
-        raise InvalidMetricError("distance table must be square and non-empty")
-    return _axiom_violation(rows)
-
-
 def _axiom_violation(rows: tuple) -> Optional[str]:
     n = len(rows)
     for i in range(n):

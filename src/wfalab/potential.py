@@ -360,10 +360,8 @@ def h_value(wf: WorkFunction, s1: ProductPoint, s2: ProductPoint,
     """Half the sum of the work-function values minus half the scaled
     distance; equivalently W(s1) minus half the slack of s2 against s1."""
     p = _param_value(param)
-    w1, w2 = wf.evaluate(s1), wf.evaluate(s2)
-    closed = HALF * (w1 + w2) - p / 2 * wf.instance.distance(s1, s2)
-    assert closed == w1 - HALF * wf.slack(s2, s1, p)
-    return closed
+    return (HALF * (wf.evaluate(s1) + wf.evaluate(s2))
+            - p / 2 * wf.instance.distance(s1, s2))
 
 
 def f_value(wf: WorkFunction, s1: ProductPoint, s2: ProductPoint,
@@ -411,31 +409,57 @@ def _kernel_scale(wf: WorkFunction, cands: tuple) -> int:
     return common_denominator(parts)
 
 
+def _reach(resolved, coords, scale: int) -> int:
+    """Bound on |position| and on any distance along one axis, at scale."""
+    if resolved.kind == "line":
+        top = 2 * max(abs(c.value) for c in coords)
+    else:
+        top = max(map(max, resolved.matrix))
+    return math.ceil(top * resolved.weight * scale)
+
+
+def _kernel_dtype(w_max: int, reach: int, cfg: PotentialConfig):
+    """int64 when no F, G or H kernel entry can reach 2**62, else object:
+    each entry is within 16 (w_max + reach) times the product of
+    numerator + denominator over the pair and triple parameters, the
+    coefficient and, for balls, eta."""
+    bound = 16 * (w_max + reach)
+    for c in (cfg.pair_param, cfg.triple_param, cfg.coeff,
+              getattr(cfg, "eta", Fraction(0))):
+        bound *= c.numerator + c.denominator
+    return np.int64 if bound < 2 ** 62 else object
+
+
 class _Frame:
     """Integer tables shared by the triple-minimization kernels.
 
     Everything is scaled to a common denominator so the inner loops run on
-    int64 arrays; results convert back to Fraction at the end.
+    integer arrays; results convert back to Fraction at the end.  The
+    tables are int64 when _kernel_dtype finds headroom, else Python ints.
     """
 
-    def __init__(self, wf: WorkFunction, cands: tuple):
+    def __init__(self, wf: WorkFunction, cands: tuple, cfg: PotentialConfig):
         self.wf = wf
         self.cands = cands
         self.scale = _kernel_scale(wf, cands)
         ax, ay = wf.instance._axes
         self.ax, self.ay = ax, ay
-        self.kx = _AxisKit(ax, self.scale)
-        self.ky = _AxisKit(ay, self.scale)
+        anchors = wf.anchors
+        pts = list(cands) + [g for g, _ in anchors]
+        W = [scaled_int(_wval(wf, c), self.scale) for c in cands]
+        GW = [scaled_int(v, self.scale) for _, v in anchors]
+        reach = (_reach(ax, [p.x for p in pts], self.scale)
+                 + _reach(ay, [p.y for p in pts], self.scale))
+        dtype = _kernel_dtype(max(map(abs, W + GW)), reach, cfg)
+        self.kx = _AxisKit(ax, self.scale, dtype)
+        self.ky = _AxisKit(ay, self.scale, dtype)
         self.X = self.kx.pos([c.x for c in cands])
         self.Y = self.ky.pos([c.y for c in cands])
-        self.W = np.array([scaled_int(_wval(wf, c), self.scale) for c in cands],
-                          dtype=np.int64)
+        self.W = np.array(W, dtype=dtype)
         self.D = self.kx.dists(self.X, self.X) + self.ky.dists(self.Y, self.Y)
-        anchors = wf.anchors
         self.GX = self.kx.pos([g.x for g, _ in anchors])
         self.GY = self.ky.pos([g.y for g, _ in anchors])
-        self.GW = np.array([scaled_int(v, self.scale) for _, v in anchors],
-                           dtype=np.int64)
+        self.GW = np.array(GW, dtype=dtype)
 
     def h_table(self, pair_param: Fraction) -> tuple:
         pn, pd = pair_param.numerator, pair_param.denominator
@@ -510,7 +534,7 @@ def _min_g_frame(fr: _Frame, cfg: PotentialConfig) -> tuple:
     cost_y = _axis_pair_cost(fr.ky, fr.ay, fr.Y, fr.GY, ln, ld, en, ed, boks)
     WG = fr.GW * (ld * ed)
     WC = fr.W * (ld * ed)
-    RT = np.empty((k, k), dtype=np.int64)
+    RT = np.empty((k, k), dtype=fr.W.dtype)
     AM = np.empty((k, k), dtype=np.int64)
     for i in range(k):
         for j in range(k):
@@ -534,24 +558,26 @@ def _min_h_frame(fr: _Frame, cfg: PotentialConfig) -> tuple:
     return Fraction(int(HT[i, j]), 2 * fr.scale * pd), (fr.cands[i], fr.cands[j])
 
 
-@lru_cache(maxsize=256)
-def _base_frame(wf: WorkFunction) -> _Frame:
-    return _Frame(wf, _candidates(wf))
+# A verified step asks for the minima of the work functions just before and
+# after it, so a few entries keep every reuse; more would only pin old ones.
+@lru_cache(maxsize=16)
+def _base_frame(wf: WorkFunction, cfg: PotentialConfig) -> _Frame:
+    return _Frame(wf, _candidates(wf), cfg)
 
 
-@lru_cache(maxsize=1024)
+@lru_cache(maxsize=16)
 def _min_f_cached(wf: WorkFunction, cfg: PotentialConfig) -> tuple:
-    return _min_f_frame(_base_frame(wf), cfg)
+    return _min_f_frame(_base_frame(wf, cfg), cfg)
 
 
-@lru_cache(maxsize=1024)
+@lru_cache(maxsize=16)
 def _min_g_cached(wf: WorkFunction, cfg: PotentialConfig) -> tuple:
-    return _min_g_frame(_base_frame(wf), cfg)
+    return _min_g_frame(_base_frame(wf, cfg), cfg)
 
 
-@lru_cache(maxsize=1024)
+@lru_cache(maxsize=16)
 def _min_h_cached(wf: WorkFunction, cfg: PotentialConfig) -> tuple:
-    return _min_h_frame(_base_frame(wf), cfg)
+    return _min_h_frame(_base_frame(wf, cfg), cfg)
 
 
 def min_f(wf: WorkFunction, cfg: PotentialConfig) -> tuple:
@@ -795,7 +821,7 @@ def _audit(wf_after: WorkFunction, r_next: RequestPoint, cfg: PotentialConfig,
     for F (and for G on small grids); dense step-1/16 sweeps vary one triple
     slot at a time around each winner.  Any strict improvement raises.
     """
-    fr = _Frame(wf_after, _refined_candidates(wf_after, r_next))
+    fr = _Frame(wf_after, _refined_candidates(wf_after, r_next), cfg)
     v = _min_f_frame(fr, cfg)[0]
     if v != mf:
         raise AuditError(f"midpoint refinement improved min F: {v} < {mf}")
@@ -806,7 +832,7 @@ def _audit(wf_after: WorkFunction, r_next: RequestPoint, cfg: PotentialConfig,
     full = tuple(sorted((ProductPoint(x, y)
                          for x in wf_after.grid.xs for y in wf_after.grid.ys),
                         key=product_key))
-    fr_full = _Frame(wf_after, full)
+    fr_full = _Frame(wf_after, full, cfg)
     v = _min_f_frame(fr_full, cfg)[0]
     if v < mf:
         raise AuditError(f"a full-grid triple improves min F: {v} < {mf}")

@@ -77,12 +77,6 @@ class Grid:
     xs: Tuple[SpacePoint, ...]
     ys: Tuple[SpacePoint, ...]
 
-    def index_x(self, p: SpacePoint) -> int:
-        return self.xs.index(p)
-
-    def index_y(self, p: SpacePoint) -> int:
-        return self.ys.index(p)
-
 
 def grid_after(instance: Instance, i: int) -> Grid:
     """Grid of origin plus the first i requests' coordinates."""

@@ -6,6 +6,15 @@ engine keeps W's values on the coordinate grid; every configuration is
 dominated by a grid point on the last request's lines, so evaluation anywhere
 is an exact minimum over those anchor points.
 
+The update is W_i(s) = min over t serving r_i of W_{i-1}(t) + d(t, s), which
+for s = (x, y) is exactly
+
+    W_i(x, y) = min(W_{i-1}(r.x, y) + d_X(r.x, x), W_{i-1}(x, r.y) + d_Y(r.y, y)):
+
+moving t along the line x = r.x from (r.x, y') to (r.x, y) cuts d(t, s) by
+d_Y(y', y), and W_{i-1} is 1-Lipschitz, so it grows by at most as much (the
+same holds on y = r.y).  W_{i-1} on both lines is a minimum over its anchors.
+
 Internally values are stored as numpy int64 at a fixed per-instance scale
 (the lcm of all coordinate and weight denominators), which keeps the update
 exact while letting it vectorize.  The public API only speaks Fraction.
@@ -15,18 +24,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, lru_cache
-from typing import Iterable, Optional, Tuple, Union
+from functools import cached_property
+from typing import Iterable, Optional, Tuple
 
 import numpy as np
 
-from . import metric, pl1d
-from .errors import (ConfigError, EmptySetError, RequestIndexError,
-                     SpaceMismatchError, WfalabError)
+from . import pl1d
+from .errors import ConfigError, EmptySetError, RequestIndexError, WfalabError
 from .exact import common_denominator, frac, scaled_int
 from .metric import (IndexPoint, ProductPoint, RealPoint, ResolvedAxis,
-                     SpacePoint, point_key, product_key)
-from .problem import Grid, Instance, RequestPoint, grid_after, grid_points_on
+                     SpacePoint, product_key)
+from .problem import Grid, Instance, RequestPoint, grid_after
 
 
 @dataclass(frozen=True)
@@ -61,7 +69,6 @@ def _param_value(param) -> Fraction:
     return value
 
 
-@lru_cache(maxsize=None)
 def instance_scale(instance: Instance) -> int:
     """Common denominator of every distance the instance can produce."""
     parts = []
@@ -78,23 +85,30 @@ def instance_scale(instance: Instance) -> int:
 
 
 class _AxisKit:
-    """Scaled-integer positions and distances for one component space."""
+    """Scaled-integer positions and distances for one component space.
 
-    def __init__(self, resolved: ResolvedAxis, scale: int):
+    A position is a line point's weighted coordinate times the scale, or a
+    finite point's index into the scaled table; either sorts like the points.
+    Coordinates and table entries are int64, or Python ints with
+    dtype=object for callers whose bound shows int64 could overflow.
+    """
+
+    def __init__(self, resolved: ResolvedAxis, scale: int, dtype=np.int64):
         self.kind = resolved.kind
         self.weight = resolved.weight
         self.scale = scale
+        self.dtype = dtype
         if self.kind == "finite":
             self.D = np.array(
                 [[scaled_int(self.weight * e, scale) for e in row]
                  for row in resolved.matrix],
-                dtype=np.int64)
+                dtype=dtype)
 
     def pos(self, points: Iterable[SpacePoint]) -> np.ndarray:
         if self.kind == "line":
             return np.array(
                 [scaled_int(p.value * self.weight, self.scale) for p in points],
-                dtype=np.int64)
+                dtype=self.dtype)
         return np.array([p.index for p in points], dtype=np.int64)
 
     def dists(self, apos: np.ndarray, bpos: np.ndarray) -> np.ndarray:
@@ -102,22 +116,36 @@ class _AxisKit:
             return np.abs(apos[:, None] - bpos[None, :])
         return self.D[np.ix_(apos, bpos)]
 
+    def span(self, pos: np.ndarray) -> int:
+        """An upper bound on the distance between two of the positions."""
+        if self.kind == "line":
+            return int(pos.max()) - int(pos.min())
+        return int(self.D.max())
 
-@lru_cache(maxsize=None)
-def _kits(instance: Instance) -> tuple:
-    scale = instance_scale(instance)
-    ax, ay = instance._axes
-    return _AxisKit(ax, scale), _AxisKit(ay, scale)
+
+def _added(points: tuple, pos: np.ndarray, p: SpacePoint, q) -> tuple:
+    """Sorted grid coordinates and their positions, with p at position q
+    put in its place unless already there."""
+    k = int(pos.searchsorted(q))
+    if k < len(pos) and pos[k] == q:
+        return points, pos
+    return points[:k] + (p,) + points[k:], np.insert(pos, k, q)
 
 
 @dataclass(frozen=True, eq=False)
 class WorkFunction:
+    """W on the grid after i requests: vals[a, b] is scale * W(grid.xs[a],
+    grid.ys[b]), and gx, gy are the kits' positions of grid.xs, grid.ys."""
+
     instance: Instance
     i: int
     grid: Grid
     last_request: Optional[RequestPoint]
     vals: np.ndarray = field(repr=False)
-    scale: int = 1
+    scale: int
+    kits: Tuple[_AxisKit, _AxisKit] = field(repr=False)
+    gx: np.ndarray = field(repr=False)
+    gy: np.ndarray = field(repr=False)
 
     # -- derived structure -------------------------------------------------
 
@@ -130,49 +158,37 @@ class WorkFunction:
         return {p: k for k, p in enumerate(self.grid.ys)}
 
     @cached_property
-    def values(self) -> dict:
-        """All grid values as exact Fractions."""
-        out = {}
-        for xi, x in enumerate(self.grid.xs):
-            for yi, y in enumerate(self.grid.ys):
-                out[ProductPoint(x, y)] = Fraction(int(self.vals[xi, yi]), self.scale)
-        return out
+    def _anchor_cells(self) -> tuple:
+        """(x indices, y indices, values) of the grid cells on the last
+        request's lines (the origin before any), in grid_points_on order,
+        less those dominated by another.  Every configuration is dominated
+        by one of the rest, so a minimum over them evaluates W anywhere."""
+        r = self.instance.origin if self.last_request is None else self.last_request
+        xi, yi = self._xi[r.x], self._yi[r.y]
+        nx, ny = self.vals.shape
+        cx = np.concatenate([np.full(ny, xi), np.delete(np.arange(nx), xi)])
+        cy = np.concatenate([np.arange(ny), np.full(nx - 1, yi)])
+        av = self.vals[cx, cy]
+        kx, ky = self.kits
+        px, py = self.gx[cx], self.gy[cy]
+        dominated = av[:, None] + kx.dists(px, px) + ky.dists(py, py) <= av[None, :]
+        np.fill_diagonal(dominated, False)
+        keep = ~dominated.any(axis=0)
+        return cx[keep], cy[keep], av[keep]
 
     @cached_property
     def anchor_points(self) -> Tuple[ProductPoint, ...]:
-        """Undominated grid points on the last request's lines.
-
-        Every configuration is dominated by one of them, so minimizing over
-        this support evaluates W anywhere.  Points dominated by another
-        anchor are pruned: they can never realize a strict minimum.
-        """
-        if self.last_request is None:
-            return (self.instance.origin,)
-        pts = grid_points_on(self.grid, self.last_request)
-        kx, ky = _kits(self.instance)
-        apx = kx.pos([p.x for p in pts])
-        apy = ky.pos([p.y for p in pts])
-        av = np.array([int(self.vals[self._xi[p.x], self._yi[p.y]])
-                       for p in pts], dtype=np.int64)
-        pair = av[:, None] + kx.dists(apx, apx) + ky.dists(apy, apy)
-        dominated = pair <= av[None, :]
-        np.fill_diagonal(dominated, False)
-        keep = ~dominated.any(axis=0)
-        return tuple(p for p, k in zip(pts, keep) if k)
+        """Undominated grid points on the last request's lines."""
+        cx, cy, _ = self._anchor_cells
+        xs, ys = self.grid.xs, self.grid.ys
+        return tuple(ProductPoint(xs[a], ys[b])
+                     for a, b in zip(cx.tolist(), cy.tolist()))
 
     @cached_property
     def anchors(self) -> Tuple[tuple, ...]:
-        return tuple((p, self.value_at(p)) for p in self.anchor_points)
-
-    @cached_property
-    def _anchor_arrays(self) -> tuple:
-        kx, ky = _kits(self.instance)
-        pts = self.anchor_points
-        apx = kx.pos([p.x for p in pts])
-        apy = ky.pos([p.y for p in pts])
-        av = np.array([int(self.vals[self._xi[p.x], self._yi[p.y]]) for p in pts],
-                      dtype=np.int64)
-        return apx, apy, av
+        return tuple((p, Fraction(v, self.scale))
+                     for p, v in zip(self.anchor_points,
+                                     self._anchor_cells[2].tolist()))
 
     # -- evaluation --------------------------------------------------------
 
@@ -208,25 +224,27 @@ class WorkFunction:
     # -- update ------------------------------------------------------------
 
     def update(self, r: RequestPoint) -> "WorkFunction":
+        """W after r as well, by the recurrence in the module docstring."""
         inst = self.instance
         if self.i >= inst.n or inst.requests[self.i] != r:
             raise RequestIndexError(
                 f"request {r} is not request #{self.i} of the instance")
-        new_grid = grid_after(inst, self.i + 1)
-        cands = grid_points_on(new_grid, r)
-        kx, ky = _kits(inst)
-        apx, apy, av = self._anchor_arrays
-        cpx = kx.pos([c.x for c in cands])
-        cpy = ky.pos([c.y for c in cands])
-        cand_w = (av[:, None] + kx.dists(apx, cpx) + ky.dists(apy, cpy)).min(axis=0)
-        gx = kx.pos(new_grid.xs)
-        gy = ky.pos(new_grid.ys)
-        dx = kx.dists(cpx, gx)
-        dy = ky.dists(cpy, gy)
-        vals = (cand_w[:, None, None] + dx[:, :, None] + dy[:, None, :]).min(axis=0)
-        if int(vals.max()) >= 2 ** 62:
+        kx, ky = self.kits
+        rx, ry = kx.pos([r.x]), ky.pos([r.y])
+        xs, gx = _added(self.grid.xs, self.gx, r.x, rx[0])
+        ys, gy = _added(self.grid.ys, self.gy, r.y, ry[0])
+        cx, cy, av = self._anchor_cells
+        # Every sum below is an anchor value plus at most two distances per
+        # axis between new-grid positions.
+        if int(av.max()) + 2 * (kx.span(gx) + ky.span(gy)) >= 2 ** 62:
             raise WfalabError("work-function values overflow the integer kernel")
-        return WorkFunction(inst, self.i + 1, new_grid, r, vals, self.scale)
+        apx, apy = self.gx[cx], self.gy[cy]
+        on_v = ((av + kx.dists(apx, rx)[:, 0])[:, None] + ky.dists(apy, gy)).min(axis=0)
+        on_h = ((av + ky.dists(apy, ry)[:, 0])[:, None] + kx.dists(apx, gx)).min(axis=0)
+        vals = np.minimum(kx.dists(rx, gx)[0][:, None] + on_v[None, :],
+                          on_h[:, None] + ky.dists(ry, gy)[0][None, :])
+        return WorkFunction(inst, self.i + 1, Grid(xs, ys), r, vals, self.scale,
+                            self.kits, gx, gy)
 
     # -- slack -------------------------------------------------------------
 
@@ -350,33 +368,13 @@ class WorkFunction:
              else ProductPoint(RealPoint(arg), fix_prev))
         return value, s
 
-    # -- reporting ---------------------------------------------------------
-
-    def snapshot(self) -> dict:
-        """JSON-ready dump of the grid and its values."""
-        return {
-            "index": self.i,
-            "xs": [metric.point_to_json(p) for p in self.grid.xs],
-            "ys": [metric.point_to_json(p) for p in self.grid.ys],
-            "values": [
-                [metric.point_to_json(x), metric.point_to_json(y),
-                 str(Fraction(int(self.vals[xi, yi]), self.scale))]
-                for xi, x in enumerate(self.grid.xs)
-                for yi, y in enumerate(self.grid.ys)
-            ],
-        }
-
 
 def initial(instance: Instance) -> WorkFunction:
     """W of the empty sequence: distance from the origin."""
     grid = grid_after(instance, 0)
+    scale = instance_scale(instance)
+    ax, ay = instance._axes
+    kx, ky = _AxisKit(ax, scale), _AxisKit(ay, scale)
     vals = np.zeros((len(grid.xs), len(grid.ys)), dtype=np.int64)
-    return WorkFunction(instance, 0, grid, None, vals, instance_scale(instance))
-
-
-def update(wf: WorkFunction, r: RequestPoint) -> WorkFunction:
-    return wf.update(r)
-
-
-def evaluate(wf: WorkFunction, s: ProductPoint) -> Fraction:
-    return wf.evaluate(s)
+    return WorkFunction(instance, 0, grid, None, vals, scale, (kx, ky),
+                        kx.pos(grid.xs), ky.pos(grid.ys))

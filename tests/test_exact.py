@@ -1,4 +1,4 @@
-"""Exact-rational helpers: coercion, formatting, common denominators."""
+"""Exact-rational helpers: coercion, common denominators, scaled integers."""
 
 from fractions import Fraction
 
@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from wfalab import ExactnessError, common_denominator, fmt, frac, scaled_int
+from wfalab import ExactnessError, common_denominator, frac, scaled_int
 
 rationals = st.fractions(min_value=-1000, max_value=1000, max_denominator=10**4)
 
@@ -23,12 +23,6 @@ def test_frac_rejects_floats_and_bools():
         frac(0.5)
     with pytest.raises(ExactnessError):
         frac(True)
-
-
-def test_fmt_round_trips():
-    assert fmt(Fraction(3, 4)) == "3/4"
-    assert fmt(Fraction(-2)) == "-2"
-    assert frac(fmt(Fraction(22, 7))) == Fraction(22, 7)
 
 
 def test_common_denominator_is_lcm():

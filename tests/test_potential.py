@@ -5,8 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from wfalab import (AlgorithmConfig, AuditError, ConfigError, ProductPoint,
-                    RegionSpaceError, idx, initial, pt, run)
+from wfalab import (AlgorithmConfig, AuditError, ConfigError, Instance,
+                    ProductPoint, RealLine, RegionSpaceError, idx, initial,
+                    pt, request, run)
 from wfalab.metric import product_key
 from wfalab.offline import dense_region_slack
 from wfalab.potential import (Boks, CnnPotential, GeneralPotential, Spheres,
@@ -174,20 +175,34 @@ def lex3(triple):
     return tuple(product_key(p) for p in triple)
 
 
-@pytest.mark.parametrize("maker", ["plane", "finite", "weighted"])
+def wide_instance():
+    """Instance scale 6 685 349 671: at lambda = 997/1000 the F and G tables
+    outgrow int64, and the kernels must switch to Python ints."""
+    reqs = (request(Fraction(1000, 7), Fraction(2000, 11)),
+            request(Fraction(3000, 13), Fraction(-5000, 17)),
+            request(Fraction(7000, 19), Fraction(1000, 23)),
+            request(Fraction(1, 29), Fraction(3, 31)))
+    return Instance(RealLine(), RealLine(), pt(0, 0), reqs)
+
+
+@pytest.mark.parametrize("maker", ["plane", "finite", "weighted", "wide"])
 def test_triple_minima_match_direct_scan(maker):
     rng = random.Random(65)
+    lam = HALF
     if maker == "plane":
         inst = plane_instance(rng, 2, bound=2)
     elif maker == "finite":
         inst = finite_instance(rng, 3)
-    else:
+    elif maker == "weighted":
         inst = weighted_instance(rng, 2, bound=2)
+    else:
+        inst = wide_instance()
+        lam = Fraction(997, 1000)
     wf = run_to_end(inst)
     for variant in ("cnn", "general"):
         if variant == "cnn" and maker == "finite":
             continue
-        cfg = default_constants(HALF, variant)
+        cfg = default_constants(lam, variant)
         cands = triple_candidates(wf)
         best_f = min(((f_value(wf, a, b, c, cfg), (a, b, c))
                       for a in cands for b in cands for c in cands),
@@ -215,6 +230,20 @@ def test_h_value_is_symmetric():
         s1 = pt(quarter(rng, 4), quarter(rng, 4))
         s2 = pt(quarter(rng, 4), quarter(rng, 4))
         assert h_value(wf, s1, s2, HALF) == h_value(wf, s2, s1, HALF)
+
+
+def test_h_value_is_work_minus_half_slack():
+    rng = random.Random(69)
+    for maker in (plane_instance, finite_instance, weighted_instance):
+        wf = run_to_end(maker(rng, 3))
+        points = [ProductPoint(x, y) for x in wf.grid.xs for y in wf.grid.ys]
+        for _ in range(20):
+            s1, s2 = rng.choice(points), rng.choice(points)
+            if maker is not finite_instance:
+                s2 = pt(quarter(rng, 5), quarter(rng, 5))
+            p = Fraction(rng.randint(1, 8), 8)
+            assert (h_value(wf, s1, s2, p)
+                    == wf.evaluate(s1) - HALF * wf.slack(s2, s1, p))
 
 
 def test_phi_vanishes_before_any_request():

@@ -95,8 +95,6 @@ def test_grid_sorted_by_key():
     g = grid_after(inst, 5)
     assert list(g.xs) == sorted(set(g.xs), key=lambda p: p.value)
     assert list(g.ys) == sorted(set(g.ys), key=lambda p: p.value)
-    assert g.index_x(g.xs[0]) == 0
-    assert g.index_y(g.ys[-1]) == len(g.ys) - 1
 
 
 def test_uniform_metric_shape():

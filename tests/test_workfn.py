@@ -1,6 +1,7 @@
 """Exact work functions, slack, and the extended cost."""
 
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -10,8 +11,9 @@ from wfalab import (ConfigError, EmptySetError, Instance, ProductPoint,
                     initial, instance_scale, pt, request, serves)
 from wfalab.offline import dense_slack_max
 from wfalab.potential import Boks
+from wfalab.problem import grid_after, grid_points_on
 
-from conftest import finite_instance, plane_instance, quarter
+from conftest import finite_instance, plane_instance, quarter, weighted_instance
 
 HALF = Fraction(1, 2)
 
@@ -87,6 +89,45 @@ def test_update_monotone_and_serving_points_fixed():
             if serves(g, r):
                 assert after == before
         wf = nxt
+
+
+@pytest.mark.parametrize("maker", [plane_instance, finite_instance,
+                                   weighted_instance])
+def test_update_matches_the_serving_recurrence(maker):
+    """Every new grid value is min over the grid points t on the request's
+    lines of W_before(t) + d(t, s), recomputed in Fractions."""
+    rng = random.Random(41)
+    inst = maker(rng, 5)
+    wf = initial(inst)
+    for r in inst.requests:
+        nxt = wf.update(r)
+        assert nxt.grid == grid_after(inst, nxt.i)
+        kx, ky = nxt.kits
+        assert (list(nxt.gx), list(nxt.gy)) == (list(kx.pos(nxt.grid.xs)),
+                                                 list(ky.pos(nxt.grid.ys)))
+        serving = grid_points_on(nxt.grid, r)
+        for s in grid_points(nxt):
+            want = min(wf.evaluate(t) + inst.distance(t, s) for t in serving)
+            assert nxt.evaluate(s) == want
+        wf = nxt
+
+
+def test_update_allocates_no_cubic_temporary():
+    """A min over every serving candidate for every grid cell would hold
+    (|X| + |Y|) * |X| * |Y| int64s, about 27 MB on this 120 x 121 grid."""
+    inst = plane_instance(random.Random(43), 120, bound=1000)
+    wf = initial(inst)
+    for r in inst.requests[:-1]:
+        wf = wf.update(r)
+    tracemalloc.start()
+    try:
+        done = wf.update(inst.requests[-1])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    nx, ny = done.vals.shape
+    cubic_bytes = (nx + ny) * nx * ny * 8
+    assert peak < cubic_bytes / 8
 
 
 def test_one_lipschitz_on_grid():
