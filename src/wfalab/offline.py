@@ -99,47 +99,60 @@ def brute_force_opt(instance: Instance) -> Fraction:
 # -- dense float lattices --------------------------------------------------
 
 
-def _coord_range(points) -> Tuple[Fraction, Fraction]:
-    vals = [p.value for p in points]
-    return min(vals), max(vals)
-
-
 def _axis_samples(axis, coords, step: Fraction) -> list:
     """Sample positions along one axis: a lattice for lines, everything for
     finite spaces.  Returned as SpacePoints."""
     if axis.kind == "finite":
         return [IndexPoint(j) for j in range(axis.size)]
-    lo, hi = _coord_range(coords)
+    lo, hi = min(c.value for c in coords), max(c.value for c in coords)
     count = int((hi - lo) / step) if hi > lo else 0
     return [RealPoint(lo + k * step) for k in range(count + 1)]
+
+
+def _float_axis(axis) -> tuple:
+    """float64 coordinates of points (indices on a finite axis), and their
+    distance, broadcast over two coordinate arrays."""
+    if axis.kind == "finite":
+        D = np.array([[float(axis.weight * e) for e in row] for row in axis.matrix])
+        return lambda pts: np.array([p.index for p in pts]), lambda a, b: D[a, b]
+    w = float(axis.weight)
+    return lambda pts: np.array([float(p.value) for p in pts]), lambda a, b: w * np.abs(a - b)
 
 
 def dense_slack_max(wf: WorkFunction, r_next: RequestPoint, lam,
                     step=Fraction(1, 64)) -> float:
     """Float approximation of the extended cost by dense sampling of the
-    previous request's lines (the origin before the first request)."""
+    previous request's lines (the origin before the first request).  W is a
+    float minimum over wf.anchors; a sample s meets the points slack(s, r_next)
+    compares: r_next's grid points (all on a finite axis) and those level with s."""
     lam = float(_param_value(lam))
     inst = wf.instance
+    ax, ay = inst._axes
+    (cx, dx), (cy, dy) = _float_axis(ax), _float_axis(ay)
     if wf.i == 0:
-        lines = [[inst.origin]]
+        sx, sy = cx([inst.origin.x]), cy([inst.origin.y])
     else:
-        ax, ay = inst._axes
         step = frac(step)
         r_prev = wf.last_request
-        ys = _axis_samples(ay, list(wf.grid.ys), step)
-        xs = _axis_samples(ax, list(wf.grid.xs), step)
-        lines = [[ProductPoint(r_prev.x, y) for y in ys],
-                 [ProductPoint(x, r_prev.y) for x in xs]]
-    best = -np.inf
-    for line in lines:
-        for s in line:
-            cands = wf._line_candidates(s, r_next)
-            w_s = float(wf.evaluate(s))
-            v = min(float(wf.evaluate(t)) + lam * float(inst.distance(t, s))
-                    for t in cands) - w_s
-            if v > best:
-                best = v
-    return best
+        ys = cy(_axis_samples(ay, list(wf.grid.ys), step))
+        xs = cx(_axis_samples(ax, list(wf.grid.xs), step))
+        sx = np.concatenate([cx([r_prev.x]).repeat(len(ys)), xs])
+        sy = np.concatenate([ys, cy([r_prev.y]).repeat(len(xs))])
+    wv = np.array([float(v) for _, v in wf.anchors])[:, None]
+    wx = cx([p.x for p, _ in wf.anchors])[:, None]
+    wy = cy([p.y for p, _ in wf.anchors])[:, None]
+
+    def work(x, y):
+        return (wv + dx(wx, x) + dy(wy, y)).min(axis=0)
+
+    lines = grid_points_on(wf.grid, r_next, inst.space_x, inst.space_y, full_lines=True)
+    tx, ty = cx([t.x for t in lines]), cy([t.y for t in lines])
+    nx, ny = cx([r_next.x]), cy([r_next.y])
+    best = (work(tx, ty)[:, None]
+            + lam * (dx(tx[:, None], sx) + dy(ty[:, None], sy))).min(axis=0)
+    best = np.minimum(best, work(nx.repeat(len(sy)), sy) + lam * dx(nx, sx))
+    best = np.minimum(best, work(sx, ny.repeat(len(sx))) + lam * dy(ny, sy))
+    return float((best - work(sx, sy)).max())
 
 
 def _region_axis_samples(region, axis, coord, step: Fraction) -> list:

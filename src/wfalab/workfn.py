@@ -15,6 +15,26 @@ moving t along the line x = r.x from (r.x, y') to (r.x, y) cuts d(t, s) by
 d_Y(y', y), and W_{i-1} is 1-Lipschitz, so it grows by at most as much (the
 same holds on y = r.y).  W_{i-1} on both lines is a minimum over its anchors.
 
+The extended cost against the next request r' is the maximum over s of the
+slack, min over t serving r' of W(t) + lam*d(t, s) minus W(s), taken on the
+last request r's lines.  On the line s = (r.x, z) (the other swaps the axes),
+with a over the anchors and v_a their values, the slack is f(z) - g(z):
+
+    g(z) = min_a [v_a + d_X(a.x, r.x) + d_Y(a.y, z)]                  (= W(s))
+    f(z) = min(min_a [v_a + d_X(a.x, r'.x) + lam*d_X(r'.x, r.x) + lam*d_Y(a.y, z)],
+               k + lam*d_Y(r'.y, z))
+    k    = min_a [v_a + d_Y(a.y, r'.y) + lam*d_X(a.x, r.x)]
+
+(lam <= 1 puts the best t on x = r'.x level with an anchor, and the best t
+on y = r'.y at x = a.x).  On a finite axis z runs over every point.  On a
+line g and f are lower envelopes of cones of slope 1 and lam.  Between
+consecutive apexes p < p' an envelope is the minimum of one rising line (its
+cones with apex <= p) and one falling line (apex >= p'), so it bends only
+where those cross.  f - g is thus linear between consecutive apexes and
+crossings, and no larger beyond the outermost apexes (slope lam - 1 <= 0
+outward): its maximum is at one of them.  Positions and values scaled by
+2*num(lam), and f by den(lam), make each of them an integer.
+
 Internally values are stored as numpy int64 at a fixed per-instance scale
 (the lcm of all coordinate and weight denominators), which keeps the update
 exact while letting it vectorize.  The public API only speaks Fraction.
@@ -22,6 +42,7 @@ exact while letting it vectorize.  The public API only speaks Fraction.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -29,41 +50,27 @@ from typing import Iterable, Optional, Tuple
 
 import numpy as np
 
-from . import pl1d
 from .errors import ConfigError, EmptySetError, RequestIndexError, WfalabError
 from .exact import common_denominator, frac, scaled_int
 from .metric import (IndexPoint, ProductPoint, RealPoint, ResolvedAxis,
                      SpacePoint, product_key)
-from .problem import Grid, Instance, RequestPoint, grid_after
+from .problem import Grid, Instance, RequestPoint, grid_after, grid_points_on
 
 
 @dataclass(frozen=True)
 class SlackParam:
-    """A slack coefficient, tagged with which role it plays."""
+    """A slack coefficient in (0, 1)."""
 
-    kind: str
     value: Fraction
 
     def __post_init__(self) -> None:
-        if self.kind not in ("lambda", "mu"):
-            raise ConfigError(f"slack parameter kind must be lambda or mu, got {self.kind!r}")
         object.__setattr__(self, "value", frac(self.value))
         if not (0 < self.value < 1):
             raise ConfigError(f"slack parameter must lie in (0, 1), got {self.value}")
 
-    @classmethod
-    def lam(cls, value) -> "SlackParam":
-        return cls("lambda", value)
-
-    @classmethod
-    def mu(cls, value) -> "SlackParam":
-        return cls("mu", value)
-
 
 def _param_value(param) -> Fraction:
-    if isinstance(param, SlackParam):
-        return param.value
-    value = frac(param)
+    value = param.value if isinstance(param, SlackParam) else frac(param)
     if not (0 < value <= 1):
         raise ConfigError(f"slack coefficient must lie in (0, 1], got {value}")
     return value
@@ -71,16 +78,13 @@ def _param_value(param) -> Fraction:
 
 def instance_scale(instance: Instance) -> int:
     """Common denominator of every distance the instance can produce."""
+    pts = (instance.origin, *instance.requests)
     parts = []
-    for axis_idx, resolved in enumerate(instance._axes):
+    for resolved, coords in zip(instance._axes, ([p.x for p in pts], [p.y for p in pts])):
         if resolved.kind == "line":
-            coords = [instance.origin.x if axis_idx == 0 else instance.origin.y]
-            for r in instance.requests:
-                coords.append(r.x if axis_idx == 0 else r.y)
-            parts.extend(resolved.weight * c.value for c in coords)
+            parts += [resolved.weight * c.value for c in coords]
         else:
-            for row in resolved.matrix:
-                parts.extend(resolved.weight * e for e in row)
+            parts += [resolved.weight * e for row in resolved.matrix for e in row]
     return common_denominator(parts)
 
 
@@ -113,7 +117,8 @@ class _AxisKit:
 
     def dists(self, apos: np.ndarray, bpos: np.ndarray) -> np.ndarray:
         if self.kind == "line":
-            return np.abs(apos[:, None] - bpos[None, :])
+            d = apos[:, None] - bpos[None, :]
+            return np.abs(d, out=d)
         return self.D[np.ix_(apos, bpos)]
 
     def span(self, pos: np.ndarray) -> int:
@@ -121,6 +126,39 @@ class _AxisKit:
         if self.kind == "line":
             return int(pos.max()) - int(pos.min())
         return int(self.D.max())
+
+    def point(self, q) -> SpacePoint:
+        """The point at position q; the inverse of pos."""
+        if self.kind == "line":
+            return RealPoint(Fraction(int(q), self.scale) / self.weight)
+        return IndexPoint(int(q))
+
+    def refine(self, m: int, dtype, pos: np.ndarray) -> tuple:
+        """This kit at m times the scale in dtype, and its positions pos in it."""
+        fine = copy.copy(self)
+        fine.scale, fine.dtype = self.scale * m, dtype
+        if self.kind == "finite":
+            fine.D = self.D.astype(dtype) * m
+            return fine, pos
+        return fine, pos.astype(dtype) * m
+
+    def peaks(self, envelopes) -> np.ndarray:
+        """Positions where a difference of lower envelopes of cones (apexes,
+        offsets, slope) can peak: all of a finite space; on a line the apexes
+        and each envelope's crossing between consecutive apexes, integers
+        when every offset +- slope * apex is a multiple of 2 * slope."""
+        if self.kind == "finite":
+            return np.arange(len(self.D))
+        parts = []
+        for pos, off, c in envelopes:
+            # A Python sort: numpy's first sort in a process maps 0.4 MB more code.
+            order = sorted(range(len(pos)), key=pos.tolist().__getitem__)
+            pos, off = pos[order], off[order]
+            rising = np.minimum.accumulate(off - c * pos)
+            falling = np.minimum.accumulate((off + c * pos)[::-1])[::-1]
+            cross = (falling[1:] - rising[:-1]) // (2 * c)
+            parts += [pos, np.minimum(np.maximum(cross, pos[:-1]), pos[1:])]
+        return np.concatenate(parts)
 
 
 def _added(points: tuple, pos: np.ndarray, p: SpacePoint, q) -> tuple:
@@ -171,7 +209,10 @@ class WorkFunction:
         av = self.vals[cx, cy]
         kx, ky = self.kits
         px, py = self.gx[cx], self.gy[cy]
-        dominated = av[:, None] + kx.dists(px, px) + ky.dists(py, py) <= av[None, :]
+        t = kx.dists(px, px)
+        t += ky.dists(py, py)
+        t += av[:, None]
+        dominated = t <= av[None, :]
         np.fill_diagonal(dominated, False)
         keep = ~dominated.any(axis=0)
         return cx[keep], cy[keep], av[keep]
@@ -205,13 +246,7 @@ class WorkFunction:
             yi = self._yi.get(s.y)
             if yi is not None:
                 return Fraction(int(self.vals[xi, yi]), self.scale)
-        inst = self.instance
-        best = None
-        for p, v in self.anchors:
-            c = v + inst.distance(p, s)
-            if best is None or c < best:
-                best = c
-        return best
+        return min(v + self.instance.distance(p, s) for p, v in self.anchors)
 
     def opt_cost(self) -> Fraction:
         """min over all configurations of W; the offline optimum so far."""
@@ -248,39 +283,21 @@ class WorkFunction:
 
     # -- slack -------------------------------------------------------------
 
-    def _line_candidates(self, s: ProductPoint, r: RequestPoint) -> list:
-        """Points where min over r's lines of W(t) + p*d(t, s) can be attained."""
-        ax, ay = self.instance._axes
-        out = []
-        if ay.kind == "finite":
-            out.extend(ProductPoint(r.x, IndexPoint(j)) for j in range(ay.size))
-        else:
-            out.extend(ProductPoint(r.x, y) for y in self.grid.ys)
-            out.append(ProductPoint(r.x, s.y))
-        if ax.kind == "finite":
-            out.extend(ProductPoint(IndexPoint(j), r.y) for j in range(ax.size))
-        else:
-            out.extend(ProductPoint(x, r.y) for x in self.grid.xs)
-            out.append(ProductPoint(s.x, r.y))
-        seen = set()
-        uniq = []
-        for p in out:
-            if p not in seen:
-                seen.add(p)
-                uniq.append(p)
-        return uniq
-
     def slack(self, s: ProductPoint, C, param) -> Fraction:
         """min over t in C of W(t) + p*d(t, s), minus W(s).
 
-        C may be a single point, a finite iterable of points, a request
-        (meaning both its lines), or a region from the potential module.
+        C may be a single point, a finite iterable of points, a request (its
+        lines, whose minimum is at a grid point, any point of a finite axis,
+        or level with s), or a region from the potential module.
         """
         p = _param_value(param)
+        inst = self.instance
         if isinstance(C, ProductPoint):
             pts = [C]
         elif isinstance(C, RequestPoint):
-            pts = self._line_candidates(s, C)
+            pts = list(dict.fromkeys(
+                grid_points_on(self.grid, C, inst.space_x, inst.space_y, full_lines=True)
+                + (ProductPoint(C.x, s.y), ProductPoint(s.x, C.y))))
         else:
             from .potential import Boks, Spheres, region_slack  # avoids a cycle
 
@@ -289,7 +306,6 @@ class WorkFunction:
             pts = list(C)
         if not pts:
             raise EmptySetError("slack needs a non-empty comparison set")
-        inst = self.instance
         best = min(self.evaluate(t) + p * inst.distance(t, s) for t in pts)
         return best - self.evaluate(s)
 
@@ -299,74 +315,50 @@ class WorkFunction:
         """max over all configurations of the slack against r_next's lines.
 
         Every configuration is dominated by a point of the last request's
-        lines and slack only grows along dominations, so the outer maximum is
-        taken there (over the origin alone before the first request).
-        Returns (value, witness); tie on value picks the lexicographically
-        smallest witness.
+        lines (the origin's before the first request) and slack only grows
+        along dominations, so the outer maximum is taken there, by the kernel
+        of the module docstring.  The witness is each line's smallest
+        maximizing candidate, then the lexicographically smaller; only at
+        lam = 1 can it differ from pl1d's, which reports a maximum on a flat
+        left tail at the tail's right end, not at the smallest cone apex.
         """
         lam = _param_value(lam)
-        if self.i == 0:
-            o = self.instance.origin
-            return self.slack(o, r_next, lam), o
-        best = None
-        witness = None
-        for fixed in ("x", "y"):
-            v, w = self._line_max(fixed, r_next, lam)
-            if best is None or v > best or (v == best and product_key(w) < product_key(witness)):
-                best, witness = v, w
-        return best, witness
+        return min((self._line_max(fixed, r_next, lam) for fixed in "xy"),
+                   key=lambda vw: (-vw[0], product_key(vw[1])))
 
     def _line_max(self, fixed: str, r_next: RequestPoint, lam: Fraction) -> tuple:
-        """Maximize s -> slack(s; r_next) over one line of the last request."""
-        inst = self.instance
-        ax, ay = inst._axes
-        r_prev = self.last_request
-        varying = ay if fixed == "x" else ax
-
-        if varying.kind == "finite":
-            best = None
-            witness = None
-            for j in range(varying.size):
-                s = (ProductPoint(r_prev.x, IndexPoint(j)) if fixed == "x"
-                     else ProductPoint(IndexPoint(j), r_prev.y))
-                v = self.slack(s, r_next, lam)
-                if best is None or v > best:
-                    best, witness = v, s
-            return best, witness
-
-        # Continuous case: build exact piecewise-linear functions of the free
-        # coordinate and maximize their difference.
-        w_var = varying.weight
-        if fixed == "x":
-            fix_prev, fix_next = r_prev.x, r_next.x
-            var_next = r_next.y
-            d_fix = inst.distance_x
-            d_var = inst.distance_y
-            a_fix = lambda p: p.x
-            a_var = lambda p: p.y
-        else:
-            fix_prev, fix_next = r_prev.y, r_next.y
-            var_next = r_next.x
-            d_fix = inst.distance_y
-            d_var = inst.distance_x
-            a_fix = lambda p: p.y
-            a_var = lambda p: p.x
-
-        w_restr = pl1d.cone_envelope(
-            (a_var(p).value, v + d_fix(a_fix(p), fix_prev), w_var)
-            for p, v in self.anchors)
-        shift = lam * d_fix(fix_next, fix_prev)
-        inner_same = pl1d.cone_envelope(
-            (a_var(p).value, v + d_fix(a_fix(p), fix_next) + shift, lam * w_var)
-            for p, v in self.anchors)
-        k_cross = min(v + d_var(a_var(p), var_next) + lam * d_fix(a_fix(p), fix_prev)
-                      for p, v in self.anchors)
-        inner_cross = pl1d.cone(var_next.value, k_cross, lam * w_var)
-        inner = pl1d.pointwise_min(inner_same, inner_cross)
-        value, arg = pl1d.max_difference(inner, w_restr, None)
-        s = (ProductPoint(fix_prev, RealPoint(arg)) if fixed == "x"
-             else ProductPoint(RealPoint(arg), fix_prev))
-        return value, s
+        """max of f - g (module docstring) on the last request's line whose
+        `fixed` coordinate is the request's; u is that axis, v the other."""
+        cx, cy, w = self._anchor_cells
+        kx, ky = self.kits
+        r_prev = self.last_request or self.instance.origin
+        axes = [(kx, self.gx[cx], r_prev.x, r_next.x), (ky, self.gy[cy], r_prev.y, r_next.y)]
+        (ku, apu, u_prev, u_next), (kv, apv, _, v_next) = axes if fixed == "x" else axes[::-1]
+        upos = ku.pos([u_prev, u_next])
+        du = ku.dists(apu, upos)  # columns: to r_prev.u, to r_next.u
+        shift = int(ku.dists(upos, upos)[1, 0])
+        vpos = np.append(apv, kv.pos([v_next]))  # the cone apexes, r_next.v's last
+        dv = kv.dists(apv, vpos[-1:])[:, 0]
+        # Every term below is under q * m * big in magnitude, every difference
+        # under twice that; positions enter the crossings, spans the sums.
+        p, q = lam.numerator, lam.denominator
+        m = 2 * p
+        big = (int(w.max()) + int(du.max()) + shift + 2 * kv.span(vpos)
+               + int(np.abs(vpos).max()))
+        dtype = np.int64 if 2 * q * m * big < 2 ** 62 else object
+        fine, vpos = kv.refine(m, dtype, vpos)
+        w, du, dv = (a.astype(dtype) * m for a in (w, du, dv))
+        g_off = w + du[:, 0]
+        f_off = np.append(q * (w + du[:, 1]) + p * m * shift,
+                          (q * (w + dv) + p * du[:, 0]).min())
+        z = fine.peaks([(vpos[:-1], g_off, 1), (vpos, f_off, p)])
+        g = (g_off[:, None] + fine.dists(vpos[:-1], z)).min(axis=0)
+        f = (f_off[:, None] + p * fine.dists(vpos, z)).min(axis=0)
+        h = f - q * g
+        best = h.max()
+        s = fine.point(min(c for c, v in zip(z.tolist(), h.tolist()) if v == best))
+        return (Fraction(int(best), self.scale * m * q),
+                ProductPoint(u_prev, s) if fixed == "x" else ProductPoint(s, u_prev))
 
 
 def initial(instance: Instance) -> WorkFunction:

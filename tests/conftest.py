@@ -32,3 +32,14 @@ def weighted_instance(rng: random.Random, n: int, bound: int = 4,
                  for _ in range(n))
     return Instance(Scaled(RealLine(), Fraction(wx)),
                     Scaled(RealLine(), Fraction(wy)), pt(0, 0), reqs)
+
+
+def wide_instance():
+    """Instance scale 6 685 349 671: at lambda = 997/1000 the potential's F
+    and G tables and the extended-cost kernel outgrow int64, and the kernels
+    must switch to Python ints."""
+    reqs = (request(Fraction(1000, 7), Fraction(2000, 11)),
+            request(Fraction(3000, 13), Fraction(-5000, 17)),
+            request(Fraction(7000, 19), Fraction(1000, 23)),
+            request(Fraction(1, 29), Fraction(3, 31)))
+    return Instance(RealLine(), RealLine(), pt(0, 0), reqs)

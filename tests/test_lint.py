@@ -13,3 +13,24 @@ def test_no_assert_statements_in_the_package():
              for node in ast.walk(ast.parse(path.read_text()))
              if isinstance(node, ast.Assert)]
     assert not found, found
+
+
+def _imports_pl1d(node) -> bool:
+    if isinstance(node, ast.Import):
+        return any(a.name == "wfalab.pl1d" for a in node.names)
+    if isinstance(node, ast.ImportFrom):
+        if node.module in ("pl1d", "wfalab.pl1d"):
+            return True
+        return (node.module in (None, "wfalab")
+                and any(a.name == "pl1d" for a in node.names))
+    return False
+
+
+def test_engine_does_not_import_pl1d():
+    """pl1d is the tests' exact oracle for the extended-cost kernel; only the
+    package's public namespace re-exports it."""
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"
+             for node in ast.walk(ast.parse(path.read_text()))
+             if _imports_pl1d(node)]
+    assert not found, found

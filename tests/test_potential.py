@@ -5,9 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from wfalab import (AlgorithmConfig, AuditError, ConfigError, Instance,
-                    ProductPoint, RealLine, RegionSpaceError, idx, initial,
-                    pt, request, run)
+from wfalab import (AlgorithmConfig, AuditError, ConfigError, ProductPoint,
+                    RegionSpaceError, idx, initial, pt, run)
 from wfalab.metric import product_key
 from wfalab.offline import dense_region_slack
 from wfalab.potential import (Boks, CnnPotential, GeneralPotential, Spheres,
@@ -17,7 +16,8 @@ from wfalab.potential import (Boks, CnnPotential, GeneralPotential, Spheres,
                               region_slack, verify_step)
 from wfalab.problem import grid_points_on
 
-from conftest import finite_instance, plane_instance, quarter, weighted_instance
+from conftest import (finite_instance, plane_instance, quarter,
+                      weighted_instance, wide_instance)
 
 HALF = Fraction(1, 2)
 
@@ -173,16 +173,6 @@ def triple_candidates(wf):
 
 def lex3(triple):
     return tuple(product_key(p) for p in triple)
-
-
-def wide_instance():
-    """Instance scale 6 685 349 671: at lambda = 997/1000 the F and G tables
-    outgrow int64, and the kernels must switch to Python ints."""
-    reqs = (request(Fraction(1000, 7), Fraction(2000, 11)),
-            request(Fraction(3000, 13), Fraction(-5000, 17)),
-            request(Fraction(7000, 19), Fraction(1000, 23)),
-            request(Fraction(1, 29), Fraction(3, 31)))
-    return Instance(RealLine(), RealLine(), pt(0, 0), reqs)
 
 
 @pytest.mark.parametrize("maker", ["plane", "finite", "weighted", "wide"])

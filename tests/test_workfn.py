@@ -5,15 +5,21 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from wfalab import (ConfigError, EmptySetError, Instance, ProductPoint,
-                    RealLine, RequestIndexError, Scaled, SlackParam, idx,
-                    initial, instance_scale, pt, request, serves)
+                    RealLine, RealPoint, RequestIndexError, Scaled,
+                    SlackParam, cone, cone_envelope, idx, initial,
+                    instance_scale, max_difference, pointwise_min, pt,
+                    request, serves)
+from wfalab.metric import IndexPoint, product_key
 from wfalab.offline import dense_slack_max
 from wfalab.potential import Boks
 from wfalab.problem import grid_after, grid_points_on
 
-from conftest import finite_instance, plane_instance, quarter, weighted_instance
+from conftest import (finite_instance, plane_instance, quarter,
+                      weighted_instance, wide_instance)
 
 HALF = Fraction(1, 2)
 
@@ -59,7 +65,7 @@ def test_slack_known_value():
     wf = one_request_wf()
     r = wf.instance.requests[0]
     assert wf.slack(pt(0, 0), r, HALF) == Fraction(-1, 2)
-    assert wf.slack(pt(0, 0), r, SlackParam.lam(HALF)) == Fraction(-1, 2)
+    assert wf.slack(pt(0, 0), r, SlackParam(HALF)) == Fraction(-1, 2)
 
 
 def test_slack_comparison_set_forms():
@@ -247,19 +253,101 @@ def test_extended_cost_exhaustive_on_finite_axes():
         wf = wf.update(r)
 
 
+def oracle_extended_cost(wf, r_next, lam):
+    """The extended cost by the slow reference: exact pl1d cone envelopes on
+    line axes, a Fraction slack scan on finite ones, the engine's tie rule."""
+    if wf.i == 0:
+        o = wf.instance.origin
+        return wf.slack(o, r_next, lam), o
+    best = None
+    for fixed in ("x", "y"):
+        v, w = oracle_line_max(wf, fixed, r_next, lam)
+        if best is None or v > best[0] or (
+                v == best[0] and product_key(w) < product_key(best[1])):
+            best = v, w
+    return best
+
+
+def oracle_line_max(wf, fixed, r_next, lam):
+    inst = wf.instance
+    ax, ay = inst._axes
+    r_prev = wf.last_request
+    varying = ay if fixed == "x" else ax
+
+    if varying.kind == "finite":
+        best = None
+        for j in range(varying.size):
+            s = (ProductPoint(r_prev.x, IndexPoint(j)) if fixed == "x"
+                 else ProductPoint(IndexPoint(j), r_prev.y))
+            v = wf.slack(s, r_next, lam)
+            if best is None or v > best[0]:
+                best = v, s
+        return best
+
+    w_var = varying.weight
+    if fixed == "x":
+        fix_prev, fix_next, var_next = r_prev.x, r_next.x, r_next.y
+        d_fix, d_var = inst.distance_x, inst.distance_y
+        a_fix, a_var = (lambda p: p.x), (lambda p: p.y)
+    else:
+        fix_prev, fix_next, var_next = r_prev.y, r_next.y, r_next.x
+        d_fix, d_var = inst.distance_y, inst.distance_x
+        a_fix, a_var = (lambda p: p.y), (lambda p: p.x)
+
+    w_restr = cone_envelope(
+        (a_var(p).value, v + d_fix(a_fix(p), fix_prev), w_var)
+        for p, v in wf.anchors)
+    shift = lam * d_fix(fix_next, fix_prev)
+    inner_same = cone_envelope(
+        (a_var(p).value, v + d_fix(a_fix(p), fix_next) + shift, lam * w_var)
+        for p, v in wf.anchors)
+    k_cross = min(v + d_var(a_var(p), var_next) + lam * d_fix(a_fix(p), fix_prev)
+                  for p, v in wf.anchors)
+    inner = pointwise_min(inner_same, cone(var_next.value, k_cross, lam * w_var))
+    value, arg = max_difference(inner, w_restr, None)
+    s = (ProductPoint(fix_prev, RealPoint(arg)) if fixed == "x"
+         else ProductPoint(RealPoint(arg), fix_prev))
+    return value, s
+
+
+MAKERS = {"plane": plane_instance, "weighted": weighted_instance,
+          "finite": finite_instance}
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(sorted(MAKERS)), seed=st.integers(0, 2 ** 32),
+       n=st.integers(1, 5),
+       lam=st.fractions(0, 1, max_denominator=12).filter(lambda v: v > 0))
+@example(kind="plane", seed=34, n=5, lam=Fraction(1))
+@example(kind="weighted", seed=35, n=5, lam=Fraction(1))
+@example(kind="finite", seed=36, n=5, lam=Fraction(1))
+@example(kind="wide", seed=0, n=4, lam=Fraction(997, 1000))
+def test_extended_cost_matches_the_pl1d_oracle(kind, seed, n, lam):
+    """Exactly the oracle's value at every step, and slack at the witness
+    equals it.  The witnesses agree too, except at lam = 1, where pl1d
+    reports a maximum on a flat left tail at the tail's right end."""
+    inst = wide_instance() if kind == "wide" else MAKERS[kind](random.Random(seed), n)
+    wf = initial(inst)
+    for r in inst.requests:
+        value, witness = wf.extended_cost(r, lam)
+        want, want_witness = oracle_extended_cost(wf, r, lam)
+        assert value == want
+        assert wf.slack(witness, r, lam) == value
+        assert witness == want_witness or lam == 1
+        wf = wf.update(r)
+
+
 def all_configs(size):
     return [ProductPoint(idx(a), idx(b))
             for a in range(size) for b in range(size)]
 
 
 def test_slack_param_validation():
-    assert SlackParam.mu(Fraction(3, 4)).value == Fraction(3, 4)
+    assert SlackParam(Fraction(3, 4)).value == Fraction(3, 4)
     with pytest.raises(ConfigError):
-        SlackParam("gamma", HALF)
+        SlackParam(1)
     with pytest.raises(ConfigError):
-        SlackParam.lam(1)
-    with pytest.raises(ConfigError):
-        SlackParam.lam(0)
+        SlackParam(0)
     wf = one_request_wf()
     with pytest.raises(ConfigError):
         wf.slack(pt(0, 0), pt(1, 0), 0)
