@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Tuple
 
+from . import potential
 from .errors import ConfigError, WfalabError
 from .exact import frac
 from .metric import ProductPoint, product_key
@@ -155,8 +156,6 @@ def run(instance: Instance, config: AlgorithmConfig, verify: bool = False,
     which needs a potential configuration (or a wfa lambda strictly below 1
     to derive default constants from).
     """
-    from . import potential
-
     if config.kind == "wfa":
         acct_lam = config.lam if accounting_lam is None else frac(accounting_lam)
     else:

@@ -154,49 +154,3 @@ def dense_slack_max(wf: WorkFunction, r_next: RequestPoint, lam,
     best = np.minimum(best, work(sx, ny.repeat(len(sx))) + lam * dy(ny, sy))
     return float((best - work(sx, sy)).max())
 
-
-def _region_axis_samples(region, axis, coord, step: Fraction) -> list:
-    """Sample points of one axis that cover the region's extent there.
-
-    The extent is re-derived from the region's definition: a box spans the
-    coordinates of its two corners, a product of spheres reaches eta times
-    the center distance from the first point (scale weights cancel on a
-    line).  Finite axes are enumerated outright.
-    """
-    from .potential import Boks
-
-    if axis.kind == "finite":
-        return [IndexPoint(j) for j in range(axis.size)]
-    c1 = coord(region.s1).value
-    c2 = coord(region.s2).value
-    if isinstance(region, Boks):
-        lo, hi = min(c1, c2), max(c1, c2)
-    else:
-        r = region.eta * abs(c1 - c2)
-        lo, hi = c1 - r, c1 + r
-    count = int((hi - lo) / step) if hi > lo else 0
-    return [RealPoint(lo + k * step) for k in range(count + 1)]
-
-
-def dense_region_slack(wf: WorkFunction, s3: ProductPoint, region, param,
-                       step=Fraction(1, 64)) -> float:
-    """Float approximation of region slack by sampling the region."""
-    from .potential import region_membership
-
-    p = float(_param_value(param))
-    inst = wf.instance
-    ax, ay = inst._axes
-    step = frac(step)
-    xs = _region_axis_samples(region, ax, lambda s: s.x, step)
-    ys = _region_axis_samples(region, ay, lambda s: s.y, step)
-    best = np.inf
-    w_s3 = float(wf.evaluate(s3))
-    for x in xs:
-        for y in ys:
-            t = ProductPoint(x, y)
-            if not region_membership(region, t, instance=inst):
-                continue
-            v = float(wf.evaluate(t)) + p * float(inst.distance(t, s3)) - w_s3
-            if v < best:
-                best = v
-    return best

@@ -11,6 +11,14 @@ verify_step recomputes, in exact rational arithmetic, every inequality the
 amortized argument relies on for one request transition and reports the
 margins.  There is no tolerance knob: a failed check means the engine and
 the mathematics disagree somewhere.
+
+The minima of F, G and H, and the values the domination checks read, come
+from one integer kernel (_Frame) on the work function's own scale, kits and
+anchors: with the first configuration of a triple fixed, one row holds F or
+G for every second and third.  f_value, g_value, h_value and region_slack
+compute the same quantities in Fraction.  They are the public API and the
+exact oracle the tests hold the kernel to, and the audit's dense sweeps call
+them so that its check on the kernel's minima does not run through it.
 """
 
 from __future__ import annotations
@@ -24,8 +32,8 @@ from typing import Optional, Tuple, Union
 
 import numpy as np
 
-from .errors import AuditError, ConfigError, RegionSpaceError, WfalabError
-from .exact import common_denominator, frac, scaled_int
+from .errors import AuditError, ConfigError, RegionSpaceError
+from .exact import common_denominator, frac
 from .metric import IndexPoint, ProductPoint, RealPoint, product_key
 from .problem import Instance, RequestPoint, grid_points_on, serves
 from .workfn import WorkFunction, _AxisKit, _param_value, initial
@@ -380,13 +388,6 @@ def g_value(wf: WorkFunction, s1: ProductPoint, s2: ProductPoint,
 # Exact triple minimization
 
 
-def _wval(wf: WorkFunction, p: ProductPoint) -> Fraction:
-    try:
-        return wf.value_at(p)
-    except WfalabError:
-        return wf.evaluate(p)
-
-
 def _candidates(wf: WorkFunction) -> tuple:
     """Triple-minimization candidates: every point of the last request's two
     lines with coordinates from the grid (full enumeration on finite axes)."""
@@ -395,27 +396,6 @@ def _candidates(wf: WorkFunction) -> tuple:
     pts = grid_points_on(wf.grid, wf.last_request, wf.instance.space_x,
                          wf.instance.space_y, full_lines=True)
     return tuple(sorted(set(pts), key=product_key))
-
-
-def _kernel_scale(wf: WorkFunction, cands: tuple) -> int:
-    ax, ay = wf.instance._axes
-    parts = [Fraction(1, wf.scale)]
-    for p in list(cands) + [g for g, _ in wf.anchors]:
-        if ax.kind == "line":
-            parts.append(p.x.value * ax.weight)
-        if ay.kind == "line":
-            parts.append(p.y.value * ay.weight)
-        parts.append(_wval(wf, p))
-    return common_denominator(parts)
-
-
-def _reach(resolved, coords, scale: int) -> int:
-    """Bound on |position| and on any distance along one axis, at scale."""
-    if resolved.kind == "line":
-        top = 2 * max(abs(c.value) for c in coords)
-    else:
-        top = max(map(max, resolved.matrix))
-    return math.ceil(top * resolved.weight * scale)
 
 
 def _kernel_dtype(w_max: int, reach: int, cfg: PotentialConfig):
@@ -431,131 +411,126 @@ def _kernel_dtype(w_max: int, reach: int, cfg: PotentialConfig):
 
 
 class _Frame:
-    """Integer tables shared by the triple-minimization kernels.
+    """F, G and H over triples of candidates, as integer tables on the work
+    function's own scale.
 
-    Everything is scaled to a common denominator so the inner loops run on
-    integer arrays; results convert back to Fraction at the end.  The
-    tables are int64 when _kernel_dtype finds headroom, else Python ints.
+    Positions and values are at m * wf.scale, m the smallest factor that
+    makes every candidate coordinate an integer there.  W at a candidate is
+    the minimum over the anchors of v + d, exact because the anchors
+    dominate every configuration.  Row i holds F or G at (i, j, m) for
+    every j and m, over the fixed denominators f_den and g_den; H is one
+    table over h_den.  The tables are int64 when _kernel_dtype finds
+    headroom, else Python ints.
     """
 
     def __init__(self, wf: WorkFunction, cands: tuple, cfg: PotentialConfig):
-        self.wf = wf
         self.cands = cands
-        self.scale = _kernel_scale(wf, cands)
-        ax, ay = wf.instance._axes
-        self.ax, self.ay = ax, ay
-        anchors = wf.anchors
-        pts = list(cands) + [g for g, _ in anchors]
-        W = [scaled_int(_wval(wf, c), self.scale) for c in cands]
-        GW = [scaled_int(v, self.scale) for _, v in anchors]
-        reach = (_reach(ax, [p.x for p in pts], self.scale)
-                 + _reach(ay, [p.y for p in pts], self.scale))
-        dtype = _kernel_dtype(max(map(abs, W + GW)), reach, cfg)
-        self.kx = _AxisKit(ax, self.scale, dtype)
-        self.ky = _AxisKit(ay, self.scale, dtype)
-        self.X = self.kx.pos([c.x for c in cands])
-        self.Y = self.ky.pos([c.y for c in cands])
-        self.W = np.array(W, dtype=dtype)
-        self.D = self.kx.dists(self.X, self.X) + self.ky.dists(self.Y, self.Y)
-        self.GX = self.kx.pos([g.x for g, _ in anchors])
-        self.GY = self.ky.pos([g.y for g, _ in anchors])
-        self.GW = np.array(GW, dtype=dtype)
+        coords = ([c.x for c in cands], [c.y for c in cands])
+        m = common_denominator(p.value * kit.weight * wf.scale
+                               for kit, ps in zip(wf.kits, coords)
+                               if kit.kind == "line" for p in ps)
+        cx, cy, av = wf._anchor_cells
+        # On a line every candidate lies in the grid's hull (grid points and
+        # midpoints between them), so the grid's positions bound every
+        # position and distance in the frame; a finite axis's span is its
+        # largest distance.
+        reach = m * sum(kit.span(g) + int(np.abs(g).max())
+                        for kit, g in zip(wf.kits, (wf.gx, wf.gy)))
+        dtype = _kernel_dtype(m * int(av.max()) + reach, reach, cfg)
+        self.axes = []
+        for kit, g, ps in zip(wf.kits, (wf.gx[cx], wf.gy[cy]), coords):
+            fine, G = kit.refine(m, dtype, g)
+            self.axes.append((fine, fine.pos(ps), G))
+        (kx, X, GX), (ky, Y, GY) = self.axes
+        self.GW = av.astype(dtype) * m
+        self.W = (self.GW[:, None] + kx.dists(GX, X) + ky.dists(GY, Y)).min(axis=0)
+        D = kx.dists(X, X) + ky.dists(Y, Y)
+        self.pn, self.pd = cfg.pair_param.numerator, cfg.pair_param.denominator
+        self.ln, self.ld = cfg.triple_param.numerator, cfg.triple_param.denominator
+        self.cn, self.cd = cfg.coeff.numerator, cfg.coeff.denominator
+        self.boks = cfg.variant == "cnn"
+        self.en, self.ed = (0, 1) if self.boks else (cfg.eta.numerator,
+                                                     cfg.eta.denominator)
+        # HT[i, j]: H(i, j).  SLT[i, m]: slack of m against i alone.
+        self.HT = (self.W[:, None] + self.W[None, :]) * self.pd - self.pn * D
+        self.SLT = (self.W[:, None] - self.W[None, :]) * self.ld + self.ln * D
+        self.h_den = 2 * m * wf.scale * self.pd
+        self.f_den = self.h_den * self.ld * self.cd
+        self.g_den = self.f_den * self.ed
 
-    def h_table(self, pair_param: Fraction) -> tuple:
-        pn, pd = pair_param.numerator, pair_param.denominator
-        return (self.W[:, None] + self.W[None, :]) * pd - pn * self.D, pd
+    def f_row(self, i: int) -> np.ndarray:
+        slack = np.minimum(self.SLT[i], self.SLT)
+        return (self.HT[i][:, None] * (self.ld * self.cd)
+                - (self.cn * 2 * self.pd) * slack)
 
+    def g_row(self, i: int) -> np.ndarray:
+        q = self.ld * self.ed
+        cost = self._region_cost(i, *self.axes[0])
+        cost += self._region_cost(i, *self.axes[1])
+        cost += (self.GW * q)[None, :, None]
+        slack = cost.min(axis=1) - self.W * q
+        return (self.HT[i][:, None] * (q * self.cd)
+                - (self.cn * 2 * self.pd) * slack)
 
-def _min_f_frame(fr: _Frame, cfg: PotentialConfig) -> tuple:
-    k = len(fr.cands)
-    ln, ld = cfg.triple_param.numerator, cfg.triple_param.denominator
-    cn, cd = cfg.coeff.numerator, cfg.coeff.denominator
-    HT, pd = fr.h_table(cfg.pair_param)
-    # SLT[i, m]: slack of candidate m against candidate i alone.
-    SLT = (fr.W[:, None] - fr.W[None, :]) * ld + ln * fr.D
-    M = np.minimum(SLT[:, None, :], SLT[None, :, :])
-    MT = M.max(axis=2)
-    AM = M.argmax(axis=2)
-    FT = HT * (ld * cd) - cn * (2 * pd) * MT
-    flat = int(np.argmin(FT))
-    i, j = divmod(flat, k)
-    value = Fraction(int(FT[i, j]), 2 * fr.scale * pd * ld * cd)
-    return value, (fr.cands[i], fr.cands[j], fr.cands[int(AM[i, j])])
-
-
-def _axis_pair_cost(kit: _AxisKit, resolved, C: np.ndarray, G: np.ndarray,
-                    ln: int, ld: int, en: int, ed: int, boks: bool):
-    """Per-pair cost tables for the region kernel on one axis.
-
-    The returned closure maps a candidate pair (i, j) to an (anchors x
-    candidates) array: the minimum of d(g, t) + lambda*d(t, m) over t in the
-    region's footprint, at scale frame*ed*ld.
-    """
-    if resolved.kind == "line":
-        Cq = C * ed
-        Gq = G * ed
-
-        def cost(i: int, j: int) -> np.ndarray:
-            if boks:
-                lo = int(min(Cq[i], Cq[j]))
-                hi = int(max(Cq[i], Cq[j]))
+    def _region_cost(self, i: int, kit: _AxisKit, C: np.ndarray,
+                     G: np.ndarray) -> np.ndarray:
+        """Entry [j, a, m]: the minimum over t in the footprint of region(i, j)
+        on this axis of d(anchor a, t) + lambda*d(t, m), at ld * ed times
+        the frame's scale."""
+        ln, ld, en, ed = self.ln, self.ld, self.en, self.ed
+        if kit.kind == "line":
+            # The minimum sits at the clamped anchor or the clamped m.
+            Cq, Gq = C * ed, G * ed
+            if self.boks:
+                lo, hi = np.minimum(Cq[i], Cq), np.maximum(Cq[i], Cq)
             else:
-                rad = en * abs(int(C[i]) - int(C[j]))
-                lo = int(Cq[i]) - rad
-                hi = int(Cq[i]) + rad
-            clg = np.clip(Gq, lo, hi)
-            clm = np.clip(Cq, lo, hi)
-            a1 = (np.abs(Gq - clg) * ld)[:, None] + ln * np.abs(clg[:, None] - Cq[None, :])
-            a2 = np.abs(Gq[:, None] - clm[None, :]) * ld + (ln * np.abs(clm - Cq))[None, :]
+                rad = en * np.abs(C - C[i])
+                lo, hi = Cq[i] - rad, Cq[i] + rad
+            lo, hi = lo[:, None], hi[:, None]
+            clg = np.minimum(np.maximum(Gq, lo), hi)
+            clm = np.minimum(np.maximum(Cq, lo), hi)
+            a1 = ((ld * np.abs(Gq - clg))[:, :, None]
+                  + ln * np.abs(clg[:, :, None] - Cq))
+            a2 = (ld * np.abs(Gq[:, None] - clm[:, None, :])
+                  + (ln * np.abs(clm - Cq))[:, None, :])
             return np.minimum(a1, a2)
-
-        return cost
-    if boks:
-        raise RegionSpaceError("box regions are only defined over line components")
-    D = kit.D
-
-    def cost(i: int, j: int) -> np.ndarray:
-        row = D[int(C[i])]
-        allowed = np.nonzero(row * ed <= en * row[int(C[j])])[0]
-        t1 = D[np.ix_(G, allowed)]
-        t2 = D[np.ix_(allowed, C)]
-        return ((t1 * ld)[:, :, None] + ln * t2[None, :, :]).min(axis=1) * ed
-
-    return cost
+        if self.boks:
+            raise RegionSpaceError("box regions are only defined over line components")
+        # A ball's footprint is a prefix of the space sorted by distance from
+        # i's point, so running minima along that order give every footprint.
+        row = kit.D[C[i]]
+        order = sorted(range(len(row)), key=row.tolist().__getitem__)
+        T = ld * kit.D[G][:, order, None] + ln * kit.D[np.ix_(order, C)]
+        count = (row * ed <= en * row[C][:, None]).sum(axis=1)
+        return np.minimum.accumulate(T, axis=1)[:, count - 1, :].transpose(1, 0, 2) * ed
 
 
-def _min_g_frame(fr: _Frame, cfg: PotentialConfig) -> tuple:
-    k = len(fr.cands)
-    ln, ld = cfg.triple_param.numerator, cfg.triple_param.denominator
-    cn, cd = cfg.coeff.numerator, cfg.coeff.denominator
-    boks = cfg.variant == "cnn"
-    en, ed = (0, 1) if boks else (cfg.eta.numerator, cfg.eta.denominator)
-    cost_x = _axis_pair_cost(fr.kx, fr.ax, fr.X, fr.GX, ln, ld, en, ed, boks)
-    cost_y = _axis_pair_cost(fr.ky, fr.ay, fr.Y, fr.GY, ln, ld, en, ed, boks)
-    WG = fr.GW * (ld * ed)
-    WC = fr.W * (ld * ed)
-    RT = np.empty((k, k), dtype=fr.W.dtype)
-    AM = np.empty((k, k), dtype=np.int64)
-    for i in range(k):
-        for j in range(k):
-            cost = cost_x(i, j) + cost_y(i, j)
-            rs = (WG[:, None] + cost).min(axis=0) - WC
-            a = int(np.argmax(rs))
-            AM[i, j] = a
-            RT[i, j] = rs[a]
-    HT, pd = fr.h_table(cfg.pair_param)
-    GT = HT * (ld * ed * cd) - cn * (2 * pd) * RT
-    flat = int(np.argmin(GT))
-    i, j = divmod(flat, k)
-    value = Fraction(int(GT[i, j]), 2 * fr.scale * pd * ld * ed * cd)
-    return value, (fr.cands[i], fr.cands[j], fr.cands[int(AM[i, j])])
+def _first_min(fr: _Frame, row, den: int) -> tuple:
+    """Minimum over the frame's rows and its first minimizing triple: the
+    first row, then the row-major first (j, m)."""
+    best = None
+    for i in range(len(fr.cands)):
+        R = row(i)
+        flat = int(np.argmin(R))
+        if best is None or R.flat[flat] < best[0]:
+            best = (R.flat[flat], i, flat)
+    v, i, flat = best
+    j, m = divmod(flat, len(fr.cands))
+    return Fraction(int(v), den), (fr.cands[i], fr.cands[j], fr.cands[m])
 
 
-def _min_h_frame(fr: _Frame, cfg: PotentialConfig) -> tuple:
-    HT, pd = fr.h_table(cfg.pair_param)
-    flat = int(np.argmin(HT))
+def _min_f_frame(fr: _Frame) -> tuple:
+    return _first_min(fr, fr.f_row, fr.f_den)
+
+
+def _min_g_frame(fr: _Frame) -> tuple:
+    return _first_min(fr, fr.g_row, fr.g_den)
+
+
+def _min_h_frame(fr: _Frame) -> tuple:
+    flat = int(np.argmin(fr.HT))
     i, j = divmod(flat, len(fr.cands))
-    return Fraction(int(HT[i, j]), 2 * fr.scale * pd), (fr.cands[i], fr.cands[j])
+    return Fraction(int(fr.HT[i, j]), fr.h_den), (fr.cands[i], fr.cands[j])
 
 
 # A verified step asks for the minima of the work functions just before and
@@ -567,17 +542,17 @@ def _base_frame(wf: WorkFunction, cfg: PotentialConfig) -> _Frame:
 
 @lru_cache(maxsize=16)
 def _min_f_cached(wf: WorkFunction, cfg: PotentialConfig) -> tuple:
-    return _min_f_frame(_base_frame(wf, cfg), cfg)
+    return _min_f_frame(_base_frame(wf, cfg))
 
 
 @lru_cache(maxsize=16)
 def _min_g_cached(wf: WorkFunction, cfg: PotentialConfig) -> tuple:
-    return _min_g_frame(_base_frame(wf, cfg), cfg)
+    return _min_g_frame(_base_frame(wf, cfg))
 
 
 @lru_cache(maxsize=16)
 def _min_h_cached(wf: WorkFunction, cfg: PotentialConfig) -> tuple:
-    return _min_h_frame(_base_frame(wf, cfg), cfg)
+    return _min_h_frame(_base_frame(wf, cfg))
 
 
 def min_f(wf: WorkFunction, cfg: PotentialConfig) -> tuple:
@@ -685,20 +660,24 @@ def _dominate_checks(wf: WorkFunction, r: RequestPoint, cfg: PotentialConfig,
         "dominated_by_request_candidate", two_candidate,
         note="every sampled point must be dominated by one of its two "
              "projections onto the request")]
-    u1, u2, u3 = context
-    evaluators = {
-        "a": lambda s: f_value(wf, u1, u2, s, cfg),
-        "b": lambda s: f_value(wf, u1, s, u3, cfg),
-        "c": lambda s: f_value(wf, s, u2, u3, cfg),
-        "d": lambda s: g_value(wf, u1, u2, s, cfg),
-        "e": lambda s: g_value(wf, u1, s, u3, cfg),
-        "f": lambda s: g_value(wf, s, u2, u3, cfg),
-    }
-    for letter, ev in evaluators.items():
+    # One frame over the context triple (points 0, 1, 2) and the samples'
+    # s and t (3, 4, ...).  Each letter puts them in one slot of the triple
+    # in F or G, so rows 0 and 3, 4, ... hold every value the letters read.
+    pts = (*context, *(p for s, t, _ in samples for p in (s, t)))
+    fr = _Frame(wf, pts, cfg)
+    rows = {i: (fr.f_row(i), fr.g_row(i)) for i in (0, *range(3, len(pts)))}
+    dens = (fr.f_den, fr.g_den)
+    letters = {"a": (0, 2), "b": (0, 1), "c": (0, 0),
+               "d": (1, 2), "e": (1, 1), "f": (1, 0)}
+    for letter, (table, slot) in letters.items():
+        vals = []
+        for x in range(3, len(pts)):
+            i, j, m = (x if n == slot else n for n in range(3))
+            vals.append(int(rows[i][table][j, m]))
         worst = None
         holds = True
-        for s, t, d in samples:
-            lhs = ev(s) - ev(t)
+        for (s, t, d), vs, vt in zip(samples, vals[::2], vals[1::2]):
+            lhs = Fraction(vs - vt, dens[table])
             rhs = d * bounds[letter]
             margin = lhs - rhs
             holds = holds and margin >= 0
@@ -822,10 +801,10 @@ def _audit(wf_after: WorkFunction, r_next: RequestPoint, cfg: PotentialConfig,
     slot at a time around each winner.  Any strict improvement raises.
     """
     fr = _Frame(wf_after, _refined_candidates(wf_after, r_next), cfg)
-    v = _min_f_frame(fr, cfg)[0]
+    v = _min_f_frame(fr)[0]
     if v != mf:
         raise AuditError(f"midpoint refinement improved min F: {v} < {mf}")
-    v = _min_g_frame(fr, cfg)[0]
+    v = _min_g_frame(fr)[0]
     if v != mg:
         raise AuditError(f"midpoint refinement improved min G: {v} < {mg}")
 
@@ -833,11 +812,11 @@ def _audit(wf_after: WorkFunction, r_next: RequestPoint, cfg: PotentialConfig,
                          for x in wf_after.grid.xs for y in wf_after.grid.ys),
                         key=product_key))
     fr_full = _Frame(wf_after, full, cfg)
-    v = _min_f_frame(fr_full, cfg)[0]
+    v = _min_f_frame(fr_full)[0]
     if v < mf:
         raise AuditError(f"a full-grid triple improves min F: {v} < {mf}")
     if len(full) <= 40:
-        v = _min_g_frame(fr_full, cfg)[0]
+        v = _min_g_frame(fr_full)[0]
         if v < mg:
             raise AuditError(f"a full-grid triple improves min G: {v} < {mg}")
 

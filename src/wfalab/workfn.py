@@ -286,9 +286,9 @@ class WorkFunction:
     def slack(self, s: ProductPoint, C, param) -> Fraction:
         """min over t in C of W(t) + p*d(t, s), minus W(s).
 
-        C may be a single point, a finite iterable of points, a request (its
-        lines, whose minimum is at a grid point, any point of a finite axis,
-        or level with s), or a region from the potential module.
+        C may be a single point, a finite iterable of points, or a request
+        (its lines, whose minimum is at a grid point, any point of a finite
+        axis, or level with s).  potential.region_slack takes regions.
         """
         p = _param_value(param)
         inst = self.instance
@@ -299,10 +299,6 @@ class WorkFunction:
                 grid_points_on(self.grid, C, inst.space_x, inst.space_y, full_lines=True)
                 + (ProductPoint(C.x, s.y), ProductPoint(s.x, C.y))))
         else:
-            from .potential import Boks, Spheres, region_slack  # avoids a cycle
-
-            if isinstance(C, (Boks, Spheres)):
-                return region_slack(self, s, C, param)
             pts = list(C)
         if not pts:
             raise EmptySetError("slack needs a non-empty comparison set")

@@ -34,3 +34,15 @@ def test_engine_does_not_import_pl1d():
              for node in ast.walk(ast.parse(path.read_text()))
              if _imports_pl1d(node)]
     assert not found, found
+
+
+def test_no_package_imports_inside_functions():
+    """A relative import inside a function hides an import cycle; the
+    package's modules import each other at module level."""
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(SRC.glob("*.py"))
+             for fn in ast.walk(ast.parse(path.read_text()))
+             if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+             for node in ast.walk(fn)
+             if isinstance(node, ast.ImportFrom) and node.level > 0]
+    assert not found, found

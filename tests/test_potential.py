@@ -1,16 +1,20 @@
 """Potential constants, regions, triple minima, and the step verifier."""
 
 import random
+import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from wfalab import (AlgorithmConfig, AuditError, ConfigError, ProductPoint,
                     RegionSpaceError, idx, initial, pt, run)
-from wfalab.metric import product_key
-from wfalab.offline import dense_region_slack
+from wfalab.metric import IndexPoint, RealPoint, product_key
+from wfalab.harness import GeneratorConfig, generate
 from wfalab.potential import (Boks, CnnPotential, GeneralPotential, Spheres,
-                              _audit, config_from_json, config_to_json,
+                              _audit, _candidates, _Frame, _min_f_frame,
+                              _min_g_frame, _refined_candidates,
+                              config_from_json, config_to_json,
                               default_constants, f_value, g_value, h_value,
                               min_f, min_g, min_h, phi, region_membership,
                               region_slack, verify_step)
@@ -139,6 +143,46 @@ def test_degenerate_box_slack_is_point_slack():
         assert region_slack(wf, s3, Boks(s1, s1), HALF) == wf.slack(s3, s1, HALF)
 
 
+def _region_axis_samples(region, axis, coord, step: Fraction) -> list:
+    """Sample points of one axis that cover the region's extent there.
+
+    The extent is re-derived from the region's definition: a box spans the
+    coordinates of its two corners, a product of spheres reaches eta times
+    the center distance from the first point (scale weights cancel on a
+    line).  Finite axes are enumerated outright.
+    """
+    if axis.kind == "finite":
+        return [IndexPoint(j) for j in range(axis.size)]
+    c1 = coord(region.s1).value
+    c2 = coord(region.s2).value
+    if isinstance(region, Boks):
+        lo, hi = min(c1, c2), max(c1, c2)
+    else:
+        r = region.eta * abs(c1 - c2)
+        lo, hi = c1 - r, c1 + r
+    count = int((hi - lo) / step) if hi > lo else 0
+    return [RealPoint(lo + k * step) for k in range(count + 1)]
+
+
+def dense_region_slack(wf, s3, region, p: Fraction, step: Fraction) -> float:
+    """Float approximation of region slack by sampling the region."""
+    inst = wf.instance
+    ax, ay = inst._axes
+    xs = _region_axis_samples(region, ax, lambda s: s.x, step)
+    ys = _region_axis_samples(region, ay, lambda s: s.y, step)
+    best = np.inf
+    w_s3 = float(wf.evaluate(s3))
+    for x in xs:
+        for y in ys:
+            t = ProductPoint(x, y)
+            if not region_membership(region, t, instance=inst):
+                continue
+            v = float(wf.evaluate(t)) + float(p) * float(inst.distance(t, s3)) - w_s3
+            if v < best:
+                best = v
+    return best
+
+
 def test_region_slack_against_dense_sampling():
     rng = random.Random(63)
     wf = run_to_end(plane_instance(rng, 3))
@@ -211,6 +255,55 @@ def test_triple_minima_match_direct_scan(maker):
         assert (vh, th) == (best_h[0], best_h[1])
         assert vf <= vg <= vh
         assert phi(wf, cfg) == (1 - cfg.weight) * vf + cfg.weight * vg
+
+
+@pytest.mark.parametrize("maker", ["plane", "finite", "weighted", "wide"])
+def test_frame_rows_match_the_fraction_oracle(maker):
+    """Every entry of a frame's F and G rows is f_value or g_value at its
+    triple; the refined candidates put midpoints in the frame (m = 2)."""
+    rng = random.Random(75)
+    lam = HALF
+    if maker == "plane":
+        inst = plane_instance(rng, 2, bound=2)
+    elif maker == "finite":
+        inst = finite_instance(rng, 3)
+    elif maker == "weighted":
+        inst = weighted_instance(rng, 2, bound=2)
+    else:
+        inst = wide_instance()
+        lam = Fraction(997, 1000)
+    wf = run_to_end(inst)
+    cands = _refined_candidates(wf, wf.last_request)
+    for variant in ("cnn", "general"):
+        if variant == "cnn" and maker == "finite":
+            continue
+        cfg = default_constants(lam, variant)
+        fr = _Frame(wf, cands, cfg)
+        assert (fr.HT.dtype == object) == (maker == "wide")
+        for i, a in enumerate(cands):
+            F, G = fr.f_row(i), fr.g_row(i)
+            for j, b in enumerate(cands):
+                for m, c in enumerate(cands):
+                    assert Fraction(int(F[j, m]), fr.f_den) == f_value(wf, a, b, c, cfg)
+                    assert Fraction(int(G[j, m]), fr.g_den) == g_value(wf, a, b, c, cfg)
+
+
+def test_triple_minima_hold_no_cubic_table():
+    """min F and min G run row by row: at k = 160 candidates each peaks
+    under a quarter of a k x k x k int64 table."""
+    inst = generate(GeneratorConfig("uniform_random", n=80, coord_range=1000), 1)
+    wf = run_to_end(inst)
+    fr = _Frame(wf, _candidates(wf), default_constants(HALF))
+    k = len(fr.cands)
+    assert k >= 160
+    for kernel in (_min_f_frame, _min_g_frame):
+        tracemalloc.start()
+        try:
+            kernel(fr)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < k ** 3 * 8 / 4, (kernel.__name__, peak)
 
 
 def test_h_value_is_symmetric():

@@ -15,7 +15,6 @@ from wfalab import (ConfigError, EmptySetError, Instance, ProductPoint,
                     request, serves)
 from wfalab.metric import IndexPoint, product_key
 from wfalab.offline import dense_slack_max
-from wfalab.potential import Boks
 from wfalab.problem import grid_after, grid_points_on
 
 from conftest import (finite_instance, plane_instance, quarter,
@@ -75,7 +74,6 @@ def test_slack_comparison_set_forms():
     single = wf.slack(s, t, HALF)
     assert single == wf.evaluate(t) + HALF * 1 - wf.evaluate(s)
     assert wf.slack(s, [t], HALF) == single
-    assert wf.slack(s, Boks(t, t), HALF) == single
     assert wf.slack(s, [t, pt(0, 2)], HALF) == min(single, wf.slack(s, pt(0, 2), HALF))
     assert wf.slack(s, s, HALF) == 0
     with pytest.raises(EmptySetError):
