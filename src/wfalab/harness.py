@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Optional, Tuple
 
 from .algorithms import AlgorithmConfig, RunTrace, StepRecord, run
-from .errors import ConfigError
+from .errors import ConfigError, WfalabError
 from .exact import frac
 from .metric import (FiniteMatrix, ProductPoint, RealLine, Scaled, idx,
                      point_to_json, pt)
@@ -384,8 +384,14 @@ def _worker(task) -> tuple:
         pcfg = config.potential_config
         if pcfg is None:
             pcfg = default_constants(alg.lam, config.potential_variant)
-    trace = run(inst, alg, verify=verify, potential_config=pcfg,
-                audit=config.audit and verify)
+    try:
+        trace = run(inst, alg, verify=verify, potential_config=pcfg,
+                    audit=config.audit and verify)
+    except WfalabError as exc:
+        # Name the trial, so the error replays from the batch alone.
+        where = (f"{config.generator.label} seed "
+                 f"{trial_seed(config.seed, trial)} {alg.label}")
+        raise type(exc)(f"{where}: {exc}") from exc
     oracle_ok = True
     if inst.n <= MAX_ORACLE_REQUESTS:
         oracle_ok = brute_force_opt(inst) == trace.opt_cost

@@ -14,11 +14,20 @@ the mathematics disagree somewhere.
 
 The minima of F, G and H, and the values the domination checks read, come
 from one integer kernel (_Frame) on the work function's own scale, kits and
-anchors: with the first configuration of a triple fixed, one row holds F or
-G for every second and third.  f_value, g_value, h_value and region_slack
-compute the same quantities in Fraction.  They are the public API and the
-exact oracle the tests hold the kernel to, and the audit's dense sweeps call
-them so that its check on the kernel's minima does not run through it.
+anchors.  It evaluates F and G at broadcast index arrays of triples, with
+the anchors on a trailing axis.  The minima take rows (the first slot
+fixed, every second and third) in blocks of a fixed number of entries, so
+a small frame is one numpy pass and a large one never holds a cubic
+table.  The domination checks read F and G at their own 72 triples only.
+f_value, g_value, h_value and region_slack compute the same quantities in
+Fraction.  They are the public API and the exact oracle the tests hold the
+kernel to, and the audit's dense sweeps call them so that its check on the
+kernel's minima does not run through it.
+
+The Lipschitz probe moves request i and needs W after the first i requests
+of the perturbed instance.  W after a sequence depends on that sequence
+alone, so that W is wf_before's, rescaled to the new instance's integer
+scale (WorkFunction.rescaled) rather than replayed from the start.
 """
 
 from __future__ import annotations
@@ -35,8 +44,8 @@ import numpy as np
 from .errors import AuditError, ConfigError, RegionSpaceError
 from .exact import common_denominator, frac
 from .metric import IndexPoint, ProductPoint, RealPoint, product_key
-from .problem import Instance, RequestPoint, grid_points_on, serves
-from .workfn import WorkFunction, _AxisKit, _param_value, initial
+from .problem import Instance, RequestPoint, serves
+from .workfn import WorkFunction, _AxisKit, _param_value
 
 HALF = Fraction(1, 2)
 
@@ -390,12 +399,22 @@ def g_value(wf: WorkFunction, s1: ProductPoint, s2: ProductPoint,
 
 def _candidates(wf: WorkFunction) -> tuple:
     """Triple-minimization candidates: every point of the last request's two
-    lines with coordinates from the grid (full enumeration on finite axes)."""
-    if wf.last_request is None:
+    lines with coordinates from the grid (full enumeration on finite axes).
+
+    They come in product_key order: the horizontal line's points left of
+    the request, the whole vertical line, then the rest of the horizontal
+    line.
+    """
+    r = wf.last_request
+    if r is None:
         return (wf.instance.origin,)
-    pts = grid_points_on(wf.grid, wf.last_request, wf.instance.space_x,
-                         wf.instance.space_y, full_lines=True)
-    return tuple(sorted(set(pts), key=product_key))
+    xs, ys = (tuple(IndexPoint(j) for j in range(axis.size))
+              if axis.kind == "finite" else coords
+              for axis, coords in zip(wf.instance._axes, (wf.grid.xs, wf.grid.ys)))
+    k = xs.index(r.x)
+    return (*(ProductPoint(x, r.y) for x in xs[:k]),
+            *(ProductPoint(r.x, y) for y in ys),
+            *(ProductPoint(x, r.y) for x in xs[k + 1:]))
 
 
 def _kernel_dtype(w_max: int, reach: int, cfg: PotentialConfig):
@@ -458,64 +477,93 @@ class _Frame:
         self.f_den = self.h_den * self.ld * self.cd
         self.g_den = self.f_den * self.ed
 
-    def f_row(self, i: int) -> np.ndarray:
-        slack = np.minimum(self.SLT[i], self.SLT)
-        return (self.HT[i][:, None] * (self.ld * self.cd)
+    def f_row(self, rows) -> np.ndarray:
+        """F(i, j, m) for every j and m, with a leading axis when rows is an
+        index array; likewise g_row."""
+        return self.f_at(*self._row_index(rows))
+
+    def g_row(self, rows) -> np.ndarray:
+        return self.g_at(*self._row_index(rows))
+
+    def _row_index(self, rows) -> tuple:
+        every = np.arange(len(self.cands))
+        return np.asarray(rows)[..., None, None], every[:, None], every
+
+    def f_at(self, i, j, m) -> np.ndarray:
+        """F at the candidate triples (i, j, m), broadcast index arrays."""
+        slack = np.minimum(self.SLT[i, m], self.SLT[j, m])
+        return (self.HT[i, j] * (self.ld * self.cd)
                 - (self.cn * 2 * self.pd) * slack)
 
-    def g_row(self, i: int) -> np.ndarray:
+    def g_at(self, i, j, m) -> np.ndarray:
+        """G at the candidate triples (i, j, m), broadcast index arrays."""
         q = self.ld * self.ed
-        cost = self._region_cost(i, *self.axes[0])
-        cost += self._region_cost(i, *self.axes[1])
-        cost += (self.GW * q)[None, :, None]
-        slack = cost.min(axis=1) - self.W * q
-        return (self.HT[i][:, None] * (q * self.cd)
+        cost = self._region_cost(i, j, m, *self.axes[0])
+        cost += self._region_cost(i, j, m, *self.axes[1])
+        cost += self.GW * q
+        slack = cost.min(axis=-1) - self.W[m] * q
+        return (self.HT[i, j] * (q * self.cd)
                 - (self.cn * 2 * self.pd) * slack)
 
-    def _region_cost(self, i: int, kit: _AxisKit, C: np.ndarray,
+    def _region_cost(self, i, j, m, kit: _AxisKit, C: np.ndarray,
                      G: np.ndarray) -> np.ndarray:
-        """Entry [j, a, m]: the minimum over t in the footprint of region(i, j)
+        """Entry [..., a]: the minimum over t in the footprint of region(i, j)
         on this axis of d(anchor a, t) + lambda*d(t, m), at ld * ed times
-        the frame's scale."""
+        the frame's scale; the anchors are the trailing axis."""
         ln, ld, en, ed = self.ln, self.ld, self.en, self.ed
         if kit.kind == "line":
-            # The minimum sits at the clamped anchor or the clamped m.
-            Cq, Gq = C * ed, G * ed
+            # ln / ld is lambda < 1, so moving t away from the anchor never
+            # lowers the cost: the minimum sits at the anchor clamped into
+            # the footprint.
+            ci, cj, cm = (C[x][..., None] for x in (i, j, m))
             if self.boks:
-                lo, hi = np.minimum(Cq[i], Cq), np.maximum(Cq[i], Cq)
+                lo, hi = np.minimum(ci, cj) * ed, np.maximum(ci, cj) * ed
             else:
-                rad = en * np.abs(C - C[i])
-                lo, hi = Cq[i] - rad, Cq[i] + rad
-            lo, hi = lo[:, None], hi[:, None]
+                rad = en * np.abs(cj - ci)
+                lo, hi = ci * ed - rad, ci * ed + rad
+            Gq = G * ed
             clg = np.minimum(np.maximum(Gq, lo), hi)
-            clm = np.minimum(np.maximum(Cq, lo), hi)
-            a1 = ((ld * np.abs(Gq - clg))[:, :, None]
-                  + ln * np.abs(clg[:, :, None] - Cq))
-            a2 = (ld * np.abs(Gq[:, None] - clm[:, None, :])
-                  + (ln * np.abs(clm - Cq))[:, None, :])
-            return np.minimum(a1, a2)
+            cost = ln * clg - (ln * ed) * cm
+            np.abs(cost, out=cost)
+            cost += ld * np.abs(Gq - clg)
+            return cost
         if self.boks:
             raise RegionSpaceError("box regions are only defined over line components")
         # A ball's footprint is a prefix of the space sorted by distance from
-        # i's point, so running minima along that order give every footprint.
-        row = kit.D[C[i]]
-        order = sorted(range(len(row)), key=row.tolist().__getitem__)
-        T = ld * kit.D[G][:, order, None] + ln * kit.D[np.ix_(order, C)]
-        count = (row * ed <= en * row[C][:, None]).sum(axis=1)
-        return np.minimum.accumulate(T, axis=1)[:, count - 1, :].transpose(1, 0, 2) * ed
+        # i's point, so running minima along that order, one table per
+        # distinct i, give every footprint.
+        rows = kit.D[C]
+        firsts = sorted(set(np.ravel(i).tolist()))
+        T = (ld * kit.D[G].T[:, None, :] + ln * kit.D[:, C][:, :, None]) * ed
+        runs = np.stack([np.minimum.accumulate(
+            T[sorted(range(len(kit.D)), key=rows[u].tolist().__getitem__)])
+            for u in firsts])
+        slot = np.zeros(len(C), dtype=np.int64)
+        slot[firsts] = np.arange(len(firsts))
+        count = (rows[i] * ed <= en * rows[i, C[j]][..., None]).sum(axis=-1)
+        return runs[slot[i], count - 1, m]
+
+
+# Entries (rows x candidates x anchors x candidates) in one block of G rows;
+# F rows go in blocks of the same number of rows.  A small frame takes one
+# pass; a frame whose single row exceeds this goes one row at a time.
+_BLOCK_ENTRIES = 2 ** 12
 
 
 def _first_min(fr: _Frame, row, den: int) -> tuple:
     """Minimum over the frame's rows and its first minimizing triple: the
     first row, then the row-major first (j, m)."""
+    k = len(fr.cands)
+    step = max(1, _BLOCK_ENTRIES // (k * len(fr.GW) * k))
     best = None
-    for i in range(len(fr.cands)):
-        R = row(i)
+    for start in range(0, k, step):
+        R = row(np.arange(start, min(start + step, k)))
         flat = int(np.argmin(R))
         if best is None or R.flat[flat] < best[0]:
-            best = (R.flat[flat], i, flat)
-    v, i, flat = best
-    j, m = divmod(flat, len(fr.cands))
+            best = (R.flat[flat], start * k * k + flat)
+    v, flat = best
+    i, rest = divmod(flat, k * k)
+    j, m = divmod(rest, k)
     return Fraction(int(v), den), (fr.cands[i], fr.cands[j], fr.cands[m])
 
 
@@ -632,6 +680,35 @@ class LemmaReport:
         }
 
 
+def _domination_samples(wf: WorkFunction, r: RequestPoint) -> tuple:
+    """([(s, t, d(s, t))], two_candidate): the first six grid points s off
+    the request in product_key order, each with the first of its
+    projections t = (r.x, s.y), (s.x, r.y) that dominates it; two_candidate
+    is False when a point before the sixth sample has neither."""
+    kx, ky = wf.kits
+    xr, yr = wf._xi[r.x], wf._yi[r.y]
+    dx = kx.dists(wf.gx[xr:xr + 1], wf.gx)[0]
+    dy = ky.dists(wf.gy[yr:yr + 1], wf.gy)[0]
+    v = wf.vals
+    # Row-major cell order is the grid points' product_key order, and cell
+    # (a, b) is dominated by (xr, b) or (a, yr) when W is its W plus d.
+    by_v = v == v[xr][None, :] + dx[:, None]
+    by_h = v == v[:, yr][:, None] + dy[None, :]
+    off = np.ones(v.shape, dtype=bool)
+    off[xr, :] = off[:, yr] = False
+    hits = np.flatnonzero(off & (by_v | by_h))[:6]
+    end = hits[-1] + 1 if len(hits) == 6 else v.size
+    two_candidate = not (off & ~by_v & ~by_h).flat[:end].any()
+    xs, ys = wf.grid.xs, wf.grid.ys
+    samples = []
+    for cell in hits.tolist():
+        a, b = divmod(cell, len(ys))
+        (ta, tb), d = ((xr, b), dx[a]) if by_v[a, b] else ((a, yr), dy[b])
+        samples.append((ProductPoint(xs[a], ys[b]), ProductPoint(xs[ta], ys[tb]),
+                        Fraction(int(d), wf.scale)))
+    return samples, two_candidate
+
+
 def _dominate_checks(wf: WorkFunction, r: RequestPoint, cfg: PotentialConfig,
                      context: tuple) -> list:
     """Sampled replace-a-dominated-point bounds, slots (a) through (f).
@@ -639,56 +716,36 @@ def _dominate_checks(wf: WorkFunction, r: RequestPoint, cfg: PotentialConfig,
     Samples are grid points off the request paired with their dominating
     candidate on it; the context triple fills the untouched slots.
     """
-    inst = wf.instance
     bounds = cfg.dominate_bounds()
-    samples = []
-    two_candidate = True
-    grid_pts = sorted((ProductPoint(x, y) for x in wf.grid.xs for y in wf.grid.ys),
-                      key=product_key)
-    for s in grid_pts:
-        if serves(s, r):
-            continue
-        t = next((c for c in (ProductPoint(r.x, s.y), ProductPoint(s.x, r.y))
-                  if wf.dominates(c, s)), None)
-        if t is None:
-            two_candidate = False
-            continue
-        samples.append((s, t, inst.distance(s, t)))
-        if len(samples) == 6:
-            break
+    samples, two_candidate = _domination_samples(wf, r)
     out = [CheckResult(
         "dominated_by_request_candidate", two_candidate,
         note="every sampled point must be dominated by one of its two "
              "projections onto the request")]
+    if not samples:
+        return out + [CheckResult(f"dominate_{letter}", True,
+                                  note="no dominated pairs to sample")
+                      for letter in "abcdef"]
     # One frame over the context triple (points 0, 1, 2) and the samples'
     # s and t (3, 4, ...).  Each letter puts them in one slot of the triple
-    # in F or G, so rows 0 and 3, 4, ... hold every value the letters read.
+    # in F or G, so F and G at those triples hold every value the letters
+    # read: [slot, x] is the context with x in that slot.
     pts = (*context, *(p for s, t, _ in samples for p in (s, t)))
     fr = _Frame(wf, pts, cfg)
-    rows = {i: (fr.f_row(i), fr.g_row(i)) for i in (0, *range(3, len(pts)))}
+    x = np.arange(3, len(pts))
+    triples = [np.where(np.arange(3)[:, None] == n, x, n) for n in range(3)]
+    tables = (fr.f_at(*triples), fr.g_at(*triples))
     dens = (fr.f_den, fr.g_den)
     letters = {"a": (0, 2), "b": (0, 1), "c": (0, 0),
                "d": (1, 2), "e": (1, 1), "f": (1, 0)}
     for letter, (table, slot) in letters.items():
-        vals = []
-        for x in range(3, len(pts)):
-            i, j, m = (x if n == slot else n for n in range(3))
-            vals.append(int(rows[i][table][j, m]))
-        worst = None
-        holds = True
-        for (s, t, d), vs, vt in zip(samples, vals[::2], vals[1::2]):
-            lhs = Fraction(vs - vt, dens[table])
-            rhs = d * bounds[letter]
-            margin = lhs - rhs
-            holds = holds and margin >= 0
-            if worst is None or margin < worst[2]:
-                worst = (lhs, rhs, margin)
-        if worst is None:
-            out.append(CheckResult(f"dominate_{letter}", True,
-                                   note="no dominated pairs to sample"))
-        else:
-            out.append(CheckResult(f"dominate_{letter}", holds,
-                                   worst[0], worst[1], worst[2]))
+        vals = tables[table][slot].tolist()
+        entries = []
+        for (_, _, d), vs, vt in zip(samples, vals[::2], vals[1::2]):
+            lhs, rhs = Fraction(vs - vt, dens[table]), d * bounds[letter]
+            entries.append((lhs, rhs, lhs - rhs))
+        worst = min(entries, key=lambda e: e[2])
+        out.append(CheckResult(f"dominate_{letter}", worst[2] >= 0, *worst))
     return out
 
 
@@ -728,11 +785,11 @@ def _lipschitz_probe(wf_before: WorkFunction, r_next: RequestPoint,
         r_mod = RequestPoint(RealPoint(r_next.x.value + eps), r_next.y)
         d_eps = inst.distance_x(r_next.x, r_mod.x)
     i = wf_before.i
+    # W after the first i requests does not depend on the later ones, so the
+    # perturbed instance's is wf_before's at that instance's scale.
     inst2 = Instance(inst.space_x, inst.space_y, inst.origin,
                      inst.requests[:i] + (r_mod,))
-    wf2 = initial(inst2)
-    for r in inst2.requests[:i]:
-        wf2 = wf2.update(r)
+    wf2 = wf_before.rescaled(inst2)
     nabla2, _ = wf2.extended_cost(r_mod, lam)
     mg2 = min_g(wf2.update(r_mod), cfg)[0]
     shift_n = abs(nabla2 - nabla)
@@ -808,9 +865,9 @@ def _audit(wf_after: WorkFunction, r_next: RequestPoint, cfg: PotentialConfig,
     if v != mg:
         raise AuditError(f"midpoint refinement improved min G: {v} < {mg}")
 
-    full = tuple(sorted((ProductPoint(x, y)
-                         for x in wf_after.grid.xs for y in wf_after.grid.ys),
-                        key=product_key))
+    # Row-major over the sorted grid is product_key order.
+    full = tuple(ProductPoint(x, y)
+                 for x in wf_after.grid.xs for y in wf_after.grid.ys)
     fr_full = _Frame(wf_after, full, cfg)
     v = _min_f_frame(fr_full)[0]
     if v < mf:

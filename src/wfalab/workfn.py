@@ -281,6 +281,39 @@ class WorkFunction:
         return WorkFunction(inst, self.i + 1, Grid(xs, ys), r, vals, self.scale,
                             self.kits, gx, gy)
 
+    def rescaled(self, instance: Instance) -> "WorkFunction":
+        """W after the same i requests, as a work function of instance.
+
+        W after a request sequence depends on that sequence alone, so when
+        instance has this one's spaces, origin and first i requests, its W
+        after i requests is this one on the same grid.  Only the integer
+        scale differs: the values move to instance_scale(instance), and the
+        kits are rebuilt there as initial() builds them, so line positions
+        move with it while finite positions stay indices.
+        """
+        mine = self.instance
+        prefix = (instance.space_x, instance.space_y, instance.origin,
+                  instance.requests[:self.i])
+        if prefix != (mine.space_x, mine.space_y, mine.origin,
+                      mine.requests[:self.i]):
+            raise ConfigError(
+                f"the instance does not share the first {self.i} requests")
+        scale = instance_scale(instance)
+        ratio = Fraction(scale, self.scale)
+        # Both scales hold every value exactly, so each value is a multiple
+        # of self.scale / gcd, the ratio's denominator.
+        vals, rest = np.divmod(self.vals, ratio.denominator)
+        if rest.any():
+            raise WfalabError("work-function values are not exact at the new scale")
+        if int(vals.max()) * ratio.numerator >= 2 ** 62:
+            raise WfalabError("work-function values overflow the integer kernel")
+        vals *= ratio.numerator
+        ax, ay = instance._axes
+        kx, ky = _AxisKit(ax, scale), _AxisKit(ay, scale)
+        return WorkFunction(instance, self.i, self.grid, self.last_request,
+                            vals, scale, (kx, ky), kx.pos(self.grid.xs),
+                            ky.pos(self.grid.ys))
+
     # -- slack -------------------------------------------------------------
 
     def slack(self, s: ProductPoint, C, param) -> Fraction:

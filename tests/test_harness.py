@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from wfalab import cli, harness
-from wfalab.errors import ConfigError
+from wfalab.errors import AuditError, ConfigError
 from wfalab.harness import (GENERATOR_KINDS, SUMMARY_COLUMNS,
                             TRIAL_SEED_STRIDE, ExperimentConfig,
                             GeneratorConfig, experiment_from_json, generate,
@@ -313,3 +313,17 @@ def test_cli_config_errors_exit_one(tmp_path):
     assert "config error" in err.getvalue()
     with contextlib.redirect_stderr(io.StringIO()):
         assert cli.main(["run", "--config", str(tmp_path / "missing.json")]) == 1
+
+
+def test_run_errors_name_their_trial(tmp_path, monkeypatch):
+    def failing_run(inst, alg, **kwargs):
+        raise AuditError("midpoint refinement improved min F")
+
+    monkeypatch.setattr(harness, "run", failing_run)
+    cfg = small_experiment(trials=2)
+    with pytest.raises(AuditError) as info:
+        run_experiment(cfg, out_dir=tmp_path)
+    alg = cfg.algorithms[0]
+    assert str(info.value) == (f"{cfg.generator.label} seed {trial_seed(9, 0)} "
+                               f"{alg.label}: midpoint refinement improved min F")
+    assert isinstance(info.value.__cause__, AuditError)

@@ -1,5 +1,6 @@
 """Potential constants, regions, triple minima, and the step verifier."""
 
+import dataclasses
 import random
 import tracemalloc
 from fractions import Fraction
@@ -7,18 +8,20 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from wfalab import (AlgorithmConfig, AuditError, ConfigError, ProductPoint,
-                    RegionSpaceError, idx, initial, pt, run)
+from wfalab import (AlgorithmConfig, AuditError, ConfigError, Instance,
+                    ProductPoint, RealLine, RegionSpaceError, RequestPoint,
+                    WfalabError, idx, initial, pt, request, run)
 from wfalab.metric import IndexPoint, RealPoint, product_key
-from wfalab.harness import GeneratorConfig, generate
+from wfalab.harness import GeneratorConfig, generate, uniform_metric
 from wfalab.potential import (Boks, CnnPotential, GeneralPotential, Spheres,
-                              _audit, _candidates, _Frame, _min_f_frame,
-                              _min_g_frame, _refined_candidates,
-                              config_from_json, config_to_json,
-                              default_constants, f_value, g_value, h_value,
-                              min_f, min_g, min_h, phi, region_membership,
-                              region_slack, verify_step)
-from wfalab.problem import grid_points_on
+                              _audit, _candidates, _domination_samples,
+                              _Frame, _min_f_frame, _min_g_frame,
+                              _refined_candidates, config_from_json,
+                              config_to_json, default_constants, f_value,
+                              g_value, h_value, min_f, min_g, min_h, phi,
+                              region_membership, region_slack, verify_step)
+from wfalab.problem import grid_points_on, serves
+from wfalab.workfn import WorkFunction
 
 from conftest import (finite_instance, plane_instance, quarter,
                       weighted_instance, wide_instance)
@@ -260,7 +263,8 @@ def test_triple_minima_match_direct_scan(maker):
 @pytest.mark.parametrize("maker", ["plane", "finite", "weighted", "wide"])
 def test_frame_rows_match_the_fraction_oracle(maker):
     """Every entry of a frame's F and G rows is f_value or g_value at its
-    triple; the refined candidates put midpoints in the frame (m = 2)."""
+    triple, whether read from one row, a block of rows or the triple alone;
+    the refined candidates put midpoints in the frame (m = 2)."""
     rng = random.Random(75)
     lam = HALF
     if maker == "plane":
@@ -280,12 +284,19 @@ def test_frame_rows_match_the_fraction_oracle(maker):
         cfg = default_constants(lam, variant)
         fr = _Frame(wf, cands, cfg)
         assert (fr.HT.dtype == object) == (maker == "wide")
+        k = len(cands)
+        block = fr.f_row(np.arange(k)), fr.g_row(np.arange(k))
+        triples = [a.ravel() for a in np.indices((k, k, k))]
+        at = (fr.f_at(*triples).reshape(k, k, k),
+              fr.g_at(*triples).reshape(k, k, k))
         for i, a in enumerate(cands):
             F, G = fr.f_row(i), fr.g_row(i)
+            assert (block[0][i] == F).all() and (block[1][i] == G).all()
             for j, b in enumerate(cands):
                 for m, c in enumerate(cands):
                     assert Fraction(int(F[j, m]), fr.f_den) == f_value(wf, a, b, c, cfg)
                     assert Fraction(int(G[j, m]), fr.g_den) == g_value(wf, a, b, c, cfg)
+                    assert at[0][i, j, m] == F[j, m] and at[1][i, j, m] == G[j, m]
 
 
 def test_triple_minima_hold_no_cubic_table():
@@ -448,3 +459,148 @@ def test_verified_runs_with_general_constants_on_weighted_lines():
                 potential_config=cfg)
     assert trace.lemma_failures == 0
     assert trace.phi_final <= trace.opt_cost
+
+
+def mixed_instance(rng, n):
+    """A uniform finite x axis and a line y axis: the Lipschitz probe runs
+    at the steps whose major axis is the finite one."""
+    reqs = tuple(RequestPoint(idx(rng.randrange(4)), RealPoint(quarter(rng, 1)))
+                 for _ in range(n))
+    return Instance(uniform_metric(4), RealLine(),
+                    ProductPoint(idx(0), RealPoint(0)), reqs)
+
+
+def steps(inst):
+    """(W before, W after, request) for every request of the instance."""
+    wf = initial(inst)
+    for r in inst.requests:
+        nxt = wf.update(r)
+        yield wf, nxt, r
+        wf = nxt
+
+
+@pytest.mark.parametrize("maker", [plane_instance, weighted_instance,
+                                   finite_instance, mixed_instance])
+def test_candidates_are_the_sorted_request_lines(maker):
+    inst = maker(random.Random(77), 6)
+    for _, wf, _ in steps(inst):
+        assert _candidates(wf) == tuple(triple_candidates(wf))
+
+
+def fraction_samples(wf, r):
+    """The domination samples by their definition, in Fraction: grid points
+    off the request in product_key order, each with the first of its two
+    projections onto the request that dominates it, until six."""
+    samples = []
+    two_candidate = True
+    grid_pts = sorted((ProductPoint(x, y) for x in wf.grid.xs for y in wf.grid.ys),
+                      key=product_key)
+    for s in grid_pts:
+        if serves(s, r):
+            continue
+        t = next((c for c in (ProductPoint(r.x, s.y), ProductPoint(s.x, r.y))
+                  if wf.dominates(c, s)), None)
+        if t is None:
+            two_candidate = False
+            continue
+        samples.append((s, t, wf.instance.distance(s, t)))
+        if len(samples) == 6:
+            break
+    return samples, two_candidate
+
+
+@pytest.mark.parametrize("maker", [plane_instance, weighted_instance,
+                                   finite_instance, mixed_instance])
+def test_domination_samples_match_the_fraction_loop(maker):
+    rng = random.Random(78)
+    broken = 0
+    for _ in range(3):
+        for _, wf, r in steps(maker(rng, 8)):
+            assert _domination_samples(wf, r) == fraction_samples(wf, r)
+            # One unit off an off-request value undoes its domination: at the
+            # first such cell two_candidate fails, at the last it only does
+            # when fewer than six samples come before it.
+            xr, yr = wf.grid.xs.index(r.x), wf.grid.ys.index(r.y)
+            off = [(a, b) for a in range(len(wf.grid.xs))
+                   for b in range(len(wf.grid.ys)) if a != xr and b != yr]
+            for cell in off[:1] + off[-1:]:
+                vals = wf.vals.copy()
+                vals[cell] -= 1
+                bent = dataclasses.replace(wf, vals=vals)
+                got = _domination_samples(bent, r)
+                assert got == fraction_samples(bent, r)
+                broken += not got[1]
+    assert broken
+
+
+def probe_instance(maker):
+    """(instance, lambda, potential variant) for the probe's cases."""
+    rng = random.Random(79)
+    if maker == "plane":
+        return plane_instance(rng, 6), HALF, "cnn"
+    if maker == "weighted":
+        return weighted_instance(rng, 6), HALF, "cnn"
+    if maker == "mixed":
+        return mixed_instance(rng, 6), HALF, "general"
+    return wide_instance(), Fraction(997, 1000), "cnn"
+
+
+@pytest.mark.parametrize("maker", ["plane", "weighted", "mixed", "wide"])
+def test_rescaled_equals_the_replayed_work_function(maker):
+    """W after a shared prefix, rescaled to an instance whose next request
+    has its y nudged to a new denominator (as the Lipschitz probe does), is
+    the work function a replay of that prefix on it builds."""
+    inst, lam, variant = probe_instance(maker)
+    cfg = default_constants(lam, variant)
+    for before, _, r in steps(inst):
+        r_mod = RequestPoint(r.x, RealPoint(r.y.value + Fraction(1, 32)))
+        inst2 = Instance(inst.space_x, inst.space_y, inst.origin,
+                         inst.requests[:before.i] + (r_mod,))
+        replay = initial(inst2)
+        for q in inst2.requests[:before.i]:
+            replay = replay.update(q)
+        got = before.rescaled(inst2)
+        assert got.scale == replay.scale != before.scale
+        assert (got.instance, got.i, got.grid, got.last_request) == (
+            replay.instance, replay.i, replay.grid, replay.last_request)
+        for a, b in ((got.vals, replay.vals), (got.gx, replay.gx),
+                     (got.gy, replay.gy)):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+        for kit, ref in zip(got.kits, replay.kits):
+            assert ((kit.kind, kit.weight, kit.scale)
+                    == (ref.kind, ref.weight, ref.scale))
+            assert kit.kind == "line" or np.array_equal(kit.D, ref.D)
+        assert got.anchors == replay.anchors
+        assert got.extended_cost(r_mod, lam) == replay.extended_cost(r_mod, lam)
+        assert (min_g(got.update(r_mod), cfg)
+                == min_g(replay.update(r_mod), cfg))
+
+
+def test_rescaled_refuses_what_it_cannot_hold():
+    inst = Instance(RealLine(), RealLine(), pt(0, 0),
+                    (request(1000, -1000), request(-1000, 1000), request(0, 0)))
+    wf = initial(inst).update(inst.requests[0]).update(inst.requests[1])
+    # A denominator of 2**61 - 1 lifts the largest value past 2**62.
+    big = Instance(RealLine(), RealLine(), pt(0, 0),
+                   inst.requests[:2] + (request(Fraction(1, 2 ** 61 - 1), 0),))
+    with pytest.raises(WfalabError, match="overflow"):
+        wf.rescaled(big)
+    other = Instance(RealLine(), RealLine(), pt(0, 0),
+                     (request(1000, -1000), request(5, 5), request(0, 0)))
+    with pytest.raises(ConfigError):
+        wf.rescaled(other)
+
+
+def test_probe_replays_no_updates(monkeypatch):
+    """The probe derives the perturbed work function from wf_before; its one
+    update is W after the perturbed request itself."""
+    inst = plane_instance(random.Random(80), 6)
+    before, after, r = list(steps(inst))[5]
+    calls = []
+    update = WorkFunction.update
+    monkeypatch.setattr(WorkFunction, "update",
+                        lambda self, q: calls.append(q) or update(self, q))
+    report = verify_step(before, after, r, default_constants(HALF), HALF,
+                         probe=True)
+    assert {"lipschitz_nabla", "lipschitz_min_g"} <= {c.name for c in report.checks}
+    assert len(calls) == 1
