@@ -21,8 +21,13 @@ from . import potential
 from .errors import ConfigError, WfalabError
 from .exact import frac
 from .metric import ProductPoint, product_key
-from .problem import Instance, RequestPoint, grid_points_on, serves
+from .problem import Instance, RequestPoint, serves
 from .workfn import WorkFunction, _param_value, initial
+
+# After the package's modules: importing wfalab from source, with no
+# bytecode cache, then compiles potential.py before numpy is loaded, and the
+# process peaks about 1.5 MB lower.
+import numpy as np  # noqa: E402
 
 
 @dataclass(frozen=True)
@@ -49,15 +54,18 @@ class AlgorithmConfig:
         return self.kind
 
 
-def _argmin_candidates(wf_after: WorkFunction, current: ProductPoint,
-                       r: RequestPoint) -> list:
-    cands = list(grid_points_on(wf_after.grid, r))
-    seen = set(cands)
-    for p in (ProductPoint(r.x, current.y), ProductPoint(current.x, r.y)):
-        if p not in seen:
-            seen.add(p)
-            cands.append(p)
-    return cands
+def _argmin_candidates(wf_after: WorkFunction, a, b) -> np.ndarray:
+    """The scored candidates as a (k, 2) array of grid indices: the
+    request's grid points in grid_points_on order, then (r.x, current.y)
+    and (current.x, r.y) where they are not grid points, with -1 for the
+    current position's coordinate (a, b: its grid indices, None off the
+    grid)."""
+    cx, cy = wf_after._line_cells
+    if b is None:
+        cx, cy = np.append(cx, wf_after.xr), np.append(cy, -1)
+    if a is None:
+        cx, cy = np.append(cx, -1), np.append(cy, wf_after.yr)
+    return np.stack([cx, cy], axis=1)
 
 
 def wfa_minimizers(wf_after: WorkFunction, current: ProductPoint,
@@ -67,20 +75,40 @@ def wfa_minimizers(wf_after: WorkFunction, current: ProductPoint,
     The minimum over the whole space is attained on the request's lines
     (every point is dominated by one there), and along each line at a grid
     coordinate or at the projection of the current position; those are
-    exactly the candidates scored here.
+    exactly the candidates scored here, as q*W + p*d for lam = p/q at the
+    work function's integer scale (times m when the current position needs
+    a finer one).
     """
     lam = _param_value(lam)
-    inst = wf_after.instance
-    best = None
-    out = []
-    for t in _argmin_candidates(wf_after, current, r):
-        score = wf_after.evaluate(t) + lam * inst.distance(current, t)
-        if best is None or score < best:
-            best = score
-            out = [t]
-        elif score == best:
-            out.append(t)
-    return out
+    if r != wf_after.last_request:
+        raise ConfigError("wf_after must be the work function after r")
+    p, q = lam.numerator, lam.denominator
+    m, cur, (a, b) = wf_after._locate(current)
+    cands = _argmin_candidates(wf_after, a, b)
+    grids = (wf_after.gx, wf_after.gy)
+    # W at a candidate off the grid exceeds W at a grid point of its line by
+    # at most a distance, and every distance here is under reach.
+    reach = sum(kit.reach(m, g, [c]) for kit, g, c in zip(wf_after.kits, grids, cur))
+    bound = q * (m * int(wf_after.vals.max()) + reach) + p * reach
+    dtype = np.int64 if bound < 2 ** 62 else object
+    on = (cands >= 0).all(axis=1)
+    W = np.zeros(len(cands), dtype=dtype)
+    W[on] = wf_after.vals[cands[on, 0], cands[on, 1]].astype(dtype) * m
+    d = np.zeros(len(cands), dtype=dtype)
+    pos = []
+    for kit, g, c, col in zip(wf_after.kits, grids, cur, cands.T):
+        fine, G = kit.refine(m, dtype, g)
+        P = G[col]
+        P[col < 0] = c
+        d = d + fine.dists(np.array([c], dtype=P.dtype), P)[0]
+        pos.append(P)
+    if not on.all():
+        W[~on] = wf_after._w_at(m, pos[0][~on], pos[1][~on])
+    score = q * W + p * d
+    hits = np.flatnonzero(score == score.min())
+    xs, ys = wf_after.grid.xs, wf_after.grid.ys
+    return [ProductPoint(xs[i] if i >= 0 else current.x, ys[j] if j >= 0 else current.y)
+            for i, j in cands[hits].tolist()]
 
 
 def wfa_step(wf_after: WorkFunction, current: ProductPoint,
@@ -103,10 +131,16 @@ def greedy_step(instance: Instance, current: ProductPoint,
 
 
 def retrospective_step(wf_after: WorkFunction, r: RequestPoint) -> ProductPoint:
-    """Grid point of the request minimizing the updated work function."""
-    cands = grid_points_on(wf_after.grid, r)
-    best = min(wf_after.value_at(t) for t in cands)
-    return min((t for t in cands if wf_after.value_at(t) == best), key=product_key)
+    """Grid point of the request minimizing the updated work function; of
+    several, the first in product_key order, which on the sorted grid is
+    the first by (x index, y index)."""
+    if r != wf_after.last_request:
+        raise ConfigError("wf_after must be the work function after r")
+    cx, cy = wf_after._line_cells
+    v = wf_after.vals[cx, cy]
+    best = v == v.min()
+    a, b = min(zip(cx[best].tolist(), cy[best].tolist()))
+    return ProductPoint(wf_after.grid.xs[a], wf_after.grid.ys[b])
 
 
 @dataclass(frozen=True)

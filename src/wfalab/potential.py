@@ -14,11 +14,16 @@ the mathematics disagree somewhere.
 
 The minima of F, G and H, and the values the domination checks read, come
 from one integer kernel (_Frame) on the work function's own scale, kits and
-anchors.  It evaluates F and G at broadcast index arrays of triples, with
-the anchors on a trailing axis.  The minima take rows (the first slot
-fixed, every second and third) in blocks of a fixed number of entries, so
-a small frame is one numpy pass and a large one never holds a cubic
-table.  The domination checks read F and G at their own 72 triples only.
+anchors.  A verified step runs on grid indices and integer positions from
+start to finish: the candidates and the domination samples are index
+arrays, a frame takes positions read from the work function's grid, the
+checks compare integer margins, and points are built only for witnesses
+and reported values.  A frame evaluates F and G at broadcast index arrays
+of triples, with the anchors on a trailing axis.  The minima take rows
+(the first slot fixed, every second and third) in blocks of a fixed number
+of entries, so a small frame is one numpy pass and a large one never holds
+a cubic table.  The domination checks read F and G at their own 72 triples
+only.
 f_value, g_value, h_value and region_slack compute the same quantities in
 Fraction.  They are the public API and the exact oracle the tests hold the
 kernel to, and the audit's dense sweeps call them so that its check on the
@@ -36,14 +41,14 @@ import dataclasses
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Optional, Tuple, Union
 
 import numpy as np
 
-from .errors import AuditError, ConfigError, RegionSpaceError
-from .exact import common_denominator, frac
-from .metric import IndexPoint, ProductPoint, RealPoint, product_key
+from .errors import AuditError, ConfigError, RegionSpaceError, WfalabError
+from .exact import frac
+from .metric import IndexPoint, ProductPoint, RealPoint
 from .problem import Instance, RequestPoint, serves
 from .workfn import WorkFunction, _AxisKit, _param_value
 
@@ -100,6 +105,23 @@ class CnnPotential:
         return Boks(s1, s2)
 
     def constants(self) -> dict:
+        return dict(self._constants)
+
+    def dominate_bounds(self) -> dict:
+        """Per-slot lower-bound coefficients for replacing a dominated point."""
+        return dict(self._bounds)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    # Derived once per config; the methods above hand out copies.  The
+    # kernels' caches key on configs, and Fraction hashes are slow.
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.lam, self.alpha, self.gamma))
+
+    @cached_property
+    def _constants(self) -> dict:
         lam, a = self.lam, self.alpha
         c1 = a
         c2 = a * (1 - lam)
@@ -110,8 +132,8 @@ class CnnPotential:
         c5 = min((1 - self.gamma) * c1, self.gamma * c3)
         return {"c1": c1, "c2": c2, "c3": c3, "c4": c4, "c5": c5}
 
-    def dominate_bounds(self) -> dict:
-        """Per-slot lower-bound coefficients for replacing a dominated point."""
+    @cached_property
+    def _bounds(self) -> dict:
         outer = self.alpha * (1 - self.lam)
         inner = HALF * (1 - self.lam) - self.alpha * (1 + self.lam)
         return {"a": outer, "b": inner, "c": inner,
@@ -145,10 +167,10 @@ class GeneralPotential:
             raise ConfigError(f"beta must lie in (0, 1/2), got {self.beta}")
         if not (0 < self.kappa < 1):
             raise ConfigError(f"kappa must lie in (0, 1), got {self.kappa}")
-        if min(self.dominate_bounds().values()) <= 0:
+        if min(self._bounds.values()) <= 0:
             raise ConfigError(
                 f"beta={self.beta} too large: a replacement bound is not positive")
-        if self.constants()["c3"] <= 0:
+        if self._constants["c3"] <= 0:
             raise ConfigError(f"beta={self.beta} too large for a positive c3")
 
     @property
@@ -171,9 +193,24 @@ class GeneralPotential:
         return Spheres(s1, s2, self.eta)
 
     def constants(self) -> dict:
+        return dict(self._constants)
+
+    def dominate_bounds(self) -> dict:
+        return dict(self._bounds)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    # Derived once per config, as for CnnPotential.
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.lam, self.mu, self.eta, self.beta, self.kappa))
+
+    @cached_property
+    def _constants(self) -> dict:
         lam, mu, eta, b = self.lam, self.mu, self.eta, self.beta
         c1 = b
-        c2 = min(self.dominate_bounds().values())
+        c2 = min(self._bounds.values())
         c3 = min(b,
                  b * (1 - lam) / (1 + lam),
                  (HALF * (1 - mu) - (eta + 1) * b * (1 + lam) - 2 * b) / (1 + lam))
@@ -181,7 +218,8 @@ class GeneralPotential:
         c5 = min((1 - self.kappa) * c1, self.kappa * c3)
         return {"c1": c1, "c2": c2, "c3": c3, "c4": c4, "c5": c5}
 
-    def dominate_bounds(self) -> dict:
+    @cached_property
+    def _bounds(self) -> dict:
         lam, mu, eta, b = self.lam, self.mu, self.eta, self.beta
         outer = b * (1 - lam)
         inner = HALF * (1 - mu) - b * (1 + lam)
@@ -397,24 +435,35 @@ def g_value(wf: WorkFunction, s1: ProductPoint, s2: ProductPoint,
 # Exact triple minimization
 
 
-def _candidates(wf: WorkFunction) -> tuple:
-    """Triple-minimization candidates: every point of the last request's two
-    lines with coordinates from the grid (full enumeration on finite axes).
+def _cross(xs: np.ndarray, a: int, ys: np.ndarray, b: int) -> np.ndarray:
+    """(k, 2): the entries of the two lines through (xs[a], ys[b]), in
+    product_key order when xs and ys are sorted: the horizontal line left of
+    the crossing, the whole vertical line, then the rest of the horizontal
+    line."""
+    x = np.concatenate([xs[:a], np.full(len(ys), xs[a]), xs[a + 1:]])
+    y = np.concatenate([np.full(a, ys[b]), ys, np.full(len(xs) - a - 1, ys[b])])
+    return np.stack([x, y], axis=1)
 
-    They come in product_key order: the horizontal line's points left of
-    the request, the whole vertical line, then the rest of the horizontal
-    line.
-    """
-    r = wf.last_request
-    if r is None:
-        return (wf.instance.origin,)
-    xs, ys = (tuple(IndexPoint(j) for j in range(axis.size))
-              if axis.kind == "finite" else coords
-              for axis, coords in zip(wf.instance._axes, (wf.grid.xs, wf.grid.ys)))
-    k = xs.index(r.x)
-    return (*(ProductPoint(x, r.y) for x in xs[:k]),
-            *(ProductPoint(r.x, y) for y in ys),
-            *(ProductPoint(x, r.y) for x in xs[k + 1:]))
+
+def _candidates(wf: WorkFunction) -> np.ndarray:
+    """Triple-minimization candidates as a (k, 2) index array: every point
+    of the last request's two lines with coordinates from the grid (full
+    enumeration on finite axes), in product_key order; the origin alone
+    before any request.  An index is a grid index on a line axis and a
+    point's own index on a finite one (_positions)."""
+    axes = [(np.arange(len(g)), at) if kit.kind == "line"
+            else (np.arange(len(kit.D)), int(g[at]))
+            for kit, g, at in zip(wf.kits, (wf.gx, wf.gy), (wf.xr, wf.yr))]
+    (xs, a), (ys, b) = axes
+    if wf.last_request is None:
+        return np.array([[a, b]])
+    return _cross(xs, a, ys, b)
+
+
+def _positions(wf: WorkFunction, idx: np.ndarray) -> np.ndarray:
+    """Positions at wf.scale of a (k, 2) candidate index array."""
+    return np.stack([g[col] if kit.kind == "line" else col
+                     for kit, g, col in zip(wf.kits, (wf.gx, wf.gy), idx.T)], axis=1)
 
 
 def _kernel_dtype(w_max: int, reach: int, cfg: PotentialConfig):
@@ -433,21 +482,19 @@ class _Frame:
     """F, G and H over triples of candidates, as integer tables on the work
     function's own scale.
 
-    Positions and values are at m * wf.scale, m the smallest factor that
-    makes every candidate coordinate an integer there.  W at a candidate is
-    the minimum over the anchors of v + d, exact because the anchors
-    dominate every configuration.  Row i holds F or G at (i, j, m) for
-    every j and m, over the fixed denominators f_den and g_den; H is one
-    table over h_den.  The tables are int64 when _kernel_dtype finds
-    headroom, else Python ints.
+    The candidates come as a (k, 2) array P of integer positions at m *
+    wf.scale: on a line read from wf.gx, wf.gy (m = 1) or sums of two of
+    them (m = 2, the audit's midpoints), on a finite axis a point's index.
+    W at a candidate is the minimum over the anchors of v + d (wf._w_at),
+    exact because the anchors dominate every configuration.  Row i holds F
+    or G at (i, j, m) for every j and m, over the fixed denominators f_den
+    and g_den; H is one table over h_den.  The tables are int64 when
+    _kernel_dtype finds headroom, else Python ints.
     """
 
-    def __init__(self, wf: WorkFunction, cands: tuple, cfg: PotentialConfig):
-        self.cands = cands
-        coords = ([c.x for c in cands], [c.y for c in cands])
-        m = common_denominator(p.value * kit.weight * wf.scale
-                               for kit, ps in zip(wf.kits, coords)
-                               if kit.kind == "line" for p in ps)
+    def __init__(self, wf: WorkFunction, m: int, P: np.ndarray,
+                 cfg: PotentialConfig):
+        self.P = P
         cx, cy, av = wf._anchor_cells
         # On a line every candidate lies in the grid's hull (grid points and
         # midpoints between them), so the grid's positions bound every
@@ -457,12 +504,12 @@ class _Frame:
                         for kit, g in zip(wf.kits, (wf.gx, wf.gy)))
         dtype = _kernel_dtype(m * int(av.max()) + reach, reach, cfg)
         self.axes = []
-        for kit, g, ps in zip(wf.kits, (wf.gx[cx], wf.gy[cy]), coords):
+        for kit, g, C in zip(wf.kits, (wf.gx[cx], wf.gy[cy]), P.T):
             fine, G = kit.refine(m, dtype, g)
-            self.axes.append((fine, fine.pos(ps), G))
-        (kx, X, GX), (ky, Y, GY) = self.axes
+            self.axes.append((fine, C if kit.kind == "finite" else C.astype(dtype), G))
+        (kx, X, _), (ky, Y, _) = self.axes
         self.GW = av.astype(dtype) * m
-        self.W = (self.GW[:, None] + kx.dists(GX, X) + ky.dists(GY, Y)).min(axis=0)
+        self.W = wf._w_at(m, X, Y).astype(dtype, copy=False)
         D = kx.dists(X, X) + ky.dists(Y, Y)
         self.pn, self.pd = cfg.pair_param.numerator, cfg.pair_param.denominator
         self.ln, self.ld = cfg.triple_param.numerator, cfg.triple_param.denominator
@@ -479,21 +526,21 @@ class _Frame:
 
     def f_row(self, rows) -> np.ndarray:
         """F(i, j, m) for every j and m, with a leading axis when rows is an
-        index array; likewise g_row."""
-        return self.f_at(*self._row_index(rows))
+        index array; likewise g_row.  F's rows read SLT whole, as a view."""
+        i = np.asarray(rows)
+        return self._f(self.HT[i][..., :, None], self.SLT[i][..., None, :], self.SLT)
 
     def g_row(self, rows) -> np.ndarray:
-        return self.g_at(*self._row_index(rows))
-
-    def _row_index(self, rows) -> tuple:
-        every = np.arange(len(self.cands))
-        return np.asarray(rows)[..., None, None], every[:, None], every
+        every = np.arange(len(self.P))
+        return self.g_at(np.asarray(rows)[..., None, None], every[:, None], every)
 
     def f_at(self, i, j, m) -> np.ndarray:
         """F at the candidate triples (i, j, m), broadcast index arrays."""
-        slack = np.minimum(self.SLT[i, m], self.SLT[j, m])
-        return (self.HT[i, j] * (self.ld * self.cd)
-                - (self.cn * 2 * self.pd) * slack)
+        return self._f(self.HT[i, j], self.SLT[i, m], self.SLT[j, m])
+
+    def _f(self, h, slack_i, slack_j) -> np.ndarray:
+        return (h * (self.ld * self.cd)
+                - (self.cn * 2 * self.pd) * np.minimum(slack_i, slack_j))
 
     def g_at(self, i, j, m) -> np.ndarray:
         """G at the candidate triples (i, j, m), broadcast index arrays."""
@@ -529,31 +576,31 @@ class _Frame:
             return cost
         if self.boks:
             raise RegionSpaceError("box regions are only defined over line components")
-        # A ball's footprint is a prefix of the space sorted by distance from
-        # i's point, so running minima along that order, one table per
-        # distinct i, give every footprint.
-        rows = kit.D[C]
-        firsts = sorted(set(np.ravel(i).tolist()))
+        # A ball's footprint is a prefix of the space by distance from its
+        # center (kit.near), so running minima along those orders, one per
+        # center these triples use, give every footprint.
+        centers = sorted(set(np.ravel(C[i]).tolist()))
         T = (ld * kit.D[G].T[:, None, :] + ln * kit.D[:, C][:, :, None]) * ed
-        runs = np.stack([np.minimum.accumulate(
-            T[sorted(range(len(kit.D)), key=rows[u].tolist().__getitem__)])
-            for u in firsts])
-        slot = np.zeros(len(C), dtype=np.int64)
-        slot[firsts] = np.arange(len(firsts))
+        runs = np.minimum.accumulate(T[kit.near[centers]], axis=1)
+        slot = np.zeros(len(kit.D), dtype=np.int64)
+        slot[centers] = np.arange(len(centers))
+        rows = kit.D[C]
         count = (rows[i] * ed <= en * rows[i, C[j]][..., None]).sum(axis=-1)
-        return runs[slot[i], count - 1, m]
+        return runs[slot[C[i]], count - 1, m]
 
 
 # Entries (rows x candidates x anchors x candidates) in one block of G rows;
 # F rows go in blocks of the same number of rows.  A small frame takes one
-# pass; a frame whose single row exceeds this goes one row at a time.
-_BLOCK_ENTRIES = 2 ** 12
+# pass; a frame whose single row exceeds this goes one row at a time.  At
+# 2**14 (128 KB of int64) min G over a 13-candidate plane frame is one numpy
+# pass instead of four, which is where small frames spend their time.
+_BLOCK_ENTRIES = 2 ** 14
 
 
 def _first_min(fr: _Frame, row, den: int) -> tuple:
-    """Minimum over the frame's rows and its first minimizing triple: the
-    first row, then the row-major first (j, m)."""
-    k = len(fr.cands)
+    """Minimum over the frame's rows and its first minimizing triple (as
+    candidate indices): the first row, then the row-major first (j, m)."""
+    k = len(fr.P)
     step = max(1, _BLOCK_ENTRIES // (k * len(fr.GW) * k))
     best = None
     for start in range(0, k, step):
@@ -563,8 +610,7 @@ def _first_min(fr: _Frame, row, den: int) -> tuple:
             best = (R.flat[flat], start * k * k + flat)
     v, flat = best
     i, rest = divmod(flat, k * k)
-    j, m = divmod(rest, k)
-    return Fraction(int(v), den), (fr.cands[i], fr.cands[j], fr.cands[m])
+    return Fraction(int(v), den), (i, *divmod(rest, k))
 
 
 def _min_f_frame(fr: _Frame) -> tuple:
@@ -577,43 +623,48 @@ def _min_g_frame(fr: _Frame) -> tuple:
 
 def _min_h_frame(fr: _Frame) -> tuple:
     flat = int(np.argmin(fr.HT))
-    i, j = divmod(flat, len(fr.cands))
-    return Fraction(int(fr.HT[i, j]), fr.h_den), (fr.cands[i], fr.cands[j])
+    i, j = divmod(flat, len(fr.P))
+    return Fraction(int(fr.HT[i, j]), fr.h_den), (i, j)
+
+
+def _index_points(wf: WorkFunction, idx: np.ndarray) -> tuple:
+    """The points at (n, 2) candidate index rows, read from the grid."""
+    xs, ys = (coords if kit.kind == "line"
+              else [IndexPoint(j) for j in range(len(kit.D))]
+              for kit, coords in zip(wf.kits, (wf.grid.xs, wf.grid.ys)))
+    return tuple(ProductPoint(xs[a], ys[b]) for a, b in idx.tolist())
 
 
 # A verified step asks for the minima of the work functions just before and
 # after it, so a few entries keep every reuse; more would only pin old ones.
 @lru_cache(maxsize=16)
-def _base_frame(wf: WorkFunction, cfg: PotentialConfig) -> _Frame:
-    return _Frame(wf, _candidates(wf), cfg)
+def _base_frame(wf: WorkFunction, cfg: PotentialConfig) -> tuple:
+    """wf's frame over _candidates(wf), and the candidates' index rows."""
+    idx = _candidates(wf)
+    return _Frame(wf, 1, _positions(wf, idx), cfg), idx
 
 
-@lru_cache(maxsize=16)
-def _min_f_cached(wf: WorkFunction, cfg: PotentialConfig) -> tuple:
-    return _min_f_frame(_base_frame(wf, cfg))
-
-
-@lru_cache(maxsize=16)
-def _min_g_cached(wf: WorkFunction, cfg: PotentialConfig) -> tuple:
-    return _min_g_frame(_base_frame(wf, cfg))
-
-
-@lru_cache(maxsize=16)
-def _min_h_cached(wf: WorkFunction, cfg: PotentialConfig) -> tuple:
-    return _min_h_frame(_base_frame(wf, cfg))
+@lru_cache(maxsize=48)
+def _minimum(wf: WorkFunction, cfg: PotentialConfig, kernel) -> tuple:
+    """(value, witness points, witness rows) of one kernel on the base
+    frame; as many work functions as _base_frame keeps, for each of the
+    three kernels."""
+    fr, idx = _base_frame(wf, cfg)
+    v, rows = kernel(fr)
+    return v, _index_points(wf, idx[list(rows)]), rows
 
 
 def min_f(wf: WorkFunction, cfg: PotentialConfig) -> tuple:
     """(exact minimum of F over triples, lexicographically first minimizer)."""
-    return _min_f_cached(wf, cfg)
+    return _minimum(wf, cfg, _min_f_frame)[:2]
 
 
 def min_g(wf: WorkFunction, cfg: PotentialConfig) -> tuple:
-    return _min_g_cached(wf, cfg)
+    return _minimum(wf, cfg, _min_g_frame)[:2]
 
 
 def min_h(wf: WorkFunction, cfg: PotentialConfig) -> tuple:
-    return _min_h_cached(wf, cfg)
+    return _minimum(wf, cfg, _min_h_frame)[:2]
 
 
 def phi(wf: WorkFunction, cfg: PotentialConfig) -> Fraction:
@@ -680,13 +731,14 @@ class LemmaReport:
         }
 
 
-def _domination_samples(wf: WorkFunction, r: RequestPoint) -> tuple:
-    """([(s, t, d(s, t))], two_candidate): the first six grid points s off
-    the request in product_key order, each with the first of its
-    projections t = (r.x, s.y), (s.x, r.y) that dominates it; two_candidate
-    is False when a point before the sixth sample has neither."""
+def _domination_samples(wf: WorkFunction) -> tuple:
+    """((s, t, d), two_candidate): the first six grid cells s off the last
+    request's lines in product_key order, each with the first of its
+    projections t = (r.x, s.y), (s.x, r.y) that dominates it, as (n, 2) grid
+    index arrays, and d(s, t) at wf.scale; two_candidate is False when a
+    cell before the sixth sample has neither."""
     kx, ky = wf.kits
-    xr, yr = wf._xi[r.x], wf._yi[r.y]
+    xr, yr = wf.xr, wf.yr
     dx = kx.dists(wf.gx[xr:xr + 1], wf.gx)[0]
     dy = ky.dists(wf.gy[yr:yr + 1], wf.gy)[0]
     v = wf.vals
@@ -699,30 +751,27 @@ def _domination_samples(wf: WorkFunction, r: RequestPoint) -> tuple:
     hits = np.flatnonzero(off & (by_v | by_h))[:6]
     end = hits[-1] + 1 if len(hits) == 6 else v.size
     two_candidate = not (off & ~by_v & ~by_h).flat[:end].any()
-    xs, ys = wf.grid.xs, wf.grid.ys
-    samples = []
-    for cell in hits.tolist():
-        a, b = divmod(cell, len(ys))
-        (ta, tb), d = ((xr, b), dx[a]) if by_v[a, b] else ((a, yr), dy[b])
-        samples.append((ProductPoint(xs[a], ys[b]), ProductPoint(xs[ta], ys[tb]),
-                        Fraction(int(d), wf.scale)))
-    return samples, two_candidate
+    a, b = np.divmod(hits, v.shape[1])
+    vert = by_v[a, b]
+    t = np.stack([np.where(vert, xr, a), np.where(vert, b, yr)], axis=1)
+    return (np.stack([a, b], axis=1), t, np.where(vert, dx[a], dy[b])), two_candidate
 
 
-def _dominate_checks(wf: WorkFunction, r: RequestPoint, cfg: PotentialConfig,
-                     context: tuple) -> list:
+def _dominate_checks(wf: WorkFunction, cfg: PotentialConfig,
+                     context: np.ndarray) -> list:
     """Sampled replace-a-dominated-point bounds, slots (a) through (f).
 
     Samples are grid points off the request paired with their dominating
-    candidate on it; the context triple fills the untouched slots.
+    candidate on it; the context triple (positions at wf.scale) fills the
+    untouched slots.
     """
     bounds = cfg.dominate_bounds()
-    samples, two_candidate = _domination_samples(wf, r)
+    (s, t, d), two_candidate = _domination_samples(wf)
     out = [CheckResult(
         "dominated_by_request_candidate", two_candidate,
         note="every sampled point must be dominated by one of its two "
              "projections onto the request")]
-    if not samples:
+    if not len(d):
         return out + [CheckResult(f"dominate_{letter}", True,
                                   note="no dominated pairs to sample")
                       for letter in "abcdef"]
@@ -730,38 +779,54 @@ def _dominate_checks(wf: WorkFunction, r: RequestPoint, cfg: PotentialConfig,
     # s and t (3, 4, ...).  Each letter puts them in one slot of the triple
     # in F or G, so F and G at those triples hold every value the letters
     # read: [slot, x] is the context with x in that slot.
-    pts = (*context, *(p for s, t, _ in samples for p in (s, t)))
-    fr = _Frame(wf, pts, cfg)
+    cells = np.stack([s, t], axis=1).reshape(-1, 2)
+    pts = np.concatenate([context, np.stack([wf.gx[cells[:, 0]], wf.gy[cells[:, 1]]],
+                                            axis=1)])
+    fr = _Frame(wf, 1, pts, cfg)
     x = np.arange(3, len(pts))
     triples = [np.where(np.arange(3)[:, None] == n, x, n) for n in range(3)]
     tables = (fr.f_at(*triples), fr.g_at(*triples))
     dens = (fr.f_den, fr.g_den)
     letters = {"a": (0, 2), "b": (0, 1), "c": (0, 0),
                "d": (1, 2), "e": (1, 1), "f": (1, 0)}
+    scale, ds = wf.scale, d.tolist()
     for letter, (table, slot) in letters.items():
-        vals = tables[table][slot].tolist()
-        entries = []
-        for (_, _, d), vs, vt in zip(samples, vals[::2], vals[1::2]):
-            lhs, rhs = Fraction(vs - vt, dens[table]), d * bounds[letter]
-            entries.append((lhs, rhs, lhs - rhs))
-        worst = min(entries, key=lambda e: e[2])
-        out.append(CheckResult(f"dominate_{letter}", worst[2] >= 0, *worst))
+        vals, den, bound = tables[table][slot].tolist(), dens[table], bounds[letter]
+        # lhs - rhs = (vs - vt) / den - d / scale * bound, over den * scale
+        # * bound.denominator; the first smallest margin is the worst entry.
+        margins = [(vs - vt) * scale * bound.denominator - dd * bound.numerator * den
+                   for vs, vt, dd in zip(vals[::2], vals[1::2], ds)]
+        w = margins.index(min(margins))
+        lhs = Fraction(vals[2 * w] - vals[2 * w + 1], den)
+        rhs = Fraction(ds[w], scale) * bound
+        out.append(CheckResult(f"dominate_{letter}", margins[w] >= 0, lhs, rhs, lhs - rhs))
     return out
 
 
-def _domination_candidates_check(wf_before: WorkFunction, r_prev: RequestPoint,
-                                 r_next: RequestPoint, pts) -> CheckResult:
+def _domination_candidates_check(wf_before: WorkFunction, wf_after: WorkFunction,
+                                 cfg: PotentialConfig, rows: list) -> CheckResult:
     """Minimizer points sharing a coordinate with the new request must be
     dominated, against the previous work function, by the single candidate
-    on the previous request."""
+    on the previous request.  rows lists the minimizers' rows of
+    wf_after's base frame, in product_key order."""
+    fr, idx = _base_frame(wf_after, cfg)
+    nx, ny = wf_after.gx[wf_after.xr], wf_after.gy[wf_after.yr]
+    px, py = wf_before.gx[wf_before.xr], wf_before.gy[wf_before.yr]
+    pairs = []  # (row of s, position of its dominating candidate t)
+    for i in rows:
+        x, y = fr.P[i]
+        if x == nx and y != py:
+            pairs.append((i, px, y))
+        if y == ny and x != px:
+            pairs.append((i, x, py))
     bad = []
-    for s in sorted(pts, key=product_key):
-        if s.x == r_next.x and s.y != r_prev.y:
-            if not wf_before.dominates(ProductPoint(r_prev.x, s.y), s):
-                bad.append(s)
-        if s.y == r_next.y and s.x != r_prev.x:
-            if not wf_before.dominates(ProductPoint(s.x, r_prev.y), s):
-                bad.append(s)
+    if pairs:
+        s, tx, ty = (np.array(c) for c in zip(*pairs))
+        S = fr.P[s]
+        kx, ky = wf_before.kits
+        W = wf_before._w_at(1, np.append(S[:, 0], tx), np.append(S[:, 1], ty))
+        d = kx.dists(tx, S[:, 0]).diagonal() + ky.dists(ty, S[:, 1]).diagonal()
+        bad = list(_index_points(wf_after, idx[s[W[:len(s)] != W[len(s):] + d]]))
     note = "" if not bad else f"undominated minimizer points: {bad}"
     return CheckResult("domination_candidates", not bad, note=note)
 
@@ -804,20 +869,22 @@ def _lipschitz_probe(wf_before: WorkFunction, r_next: RequestPoint,
     ]
 
 
-def _refined_candidates(wf: WorkFunction, r: RequestPoint) -> tuple:
-    """Base candidates plus midpoints between consecutive grid coordinates
-    along each line axis of the request."""
-    ax, ay = wf.instance._axes
-    pts = list(_candidates(wf))
-    if ay.kind == "line":
-        ys = sorted(p.value for p in wf.grid.ys)
-        pts.extend(ProductPoint(r.x, RealPoint((a + b) / 2))
-                   for a, b in zip(ys, ys[1:]))
-    if ax.kind == "line":
-        xs = sorted(p.value for p in wf.grid.xs)
-        pts.extend(ProductPoint(RealPoint((a + b) / 2), r.y)
-                   for a, b in zip(xs, xs[1:]))
-    return tuple(sorted(set(pts), key=product_key))
+def _refined_candidates(wf: WorkFunction) -> np.ndarray:
+    """Positions at twice wf.scale of the base candidates plus the midpoints
+    between consecutive grid coordinates along each line axis of the last
+    request, as a (k, 2) array in product_key order."""
+    axes = []
+    for kit, g, at in zip(wf.kits, (wf.gx, wf.gy), (wf.xr, wf.yr)):
+        if kit.kind == "finite":
+            axes.append((np.arange(len(kit.D)), int(g[at])))
+            continue
+        if int(np.abs(g).max()) >= 2 ** 61:
+            raise WfalabError("grid positions overflow the refined candidates")
+        fine = np.empty(2 * len(g) - 1, dtype=np.int64)
+        fine[0::2], fine[1::2] = 2 * g, g[:-1] + g[1:]
+        axes.append((fine, 2 * at))
+    (xs, a), (ys, b) = axes
+    return _cross(xs, a, ys, b)
 
 
 def _dense_line_points(wf: WorkFunction, r: RequestPoint,
@@ -857,7 +924,7 @@ def _audit(wf_after: WorkFunction, r_next: RequestPoint, cfg: PotentialConfig,
     for F (and for G on small grids); dense step-1/16 sweeps vary one triple
     slot at a time around each winner.  Any strict improvement raises.
     """
-    fr = _Frame(wf_after, _refined_candidates(wf_after, r_next), cfg)
+    fr = _Frame(wf_after, 2, _refined_candidates(wf_after), cfg)
     v = _min_f_frame(fr)[0]
     if v != mf:
         raise AuditError(f"midpoint refinement improved min F: {v} < {mf}")
@@ -866,9 +933,9 @@ def _audit(wf_after: WorkFunction, r_next: RequestPoint, cfg: PotentialConfig,
         raise AuditError(f"midpoint refinement improved min G: {v} < {mg}")
 
     # Row-major over the sorted grid is product_key order.
-    full = tuple(ProductPoint(x, y)
-                 for x in wf_after.grid.xs for y in wf_after.grid.ys)
-    fr_full = _Frame(wf_after, full, cfg)
+    gx, gy = wf_after.gx, wf_after.gy
+    full = np.stack([np.repeat(gx, len(gy)), np.tile(gy, len(gx))], axis=1)
+    fr_full = _Frame(wf_after, 1, full, cfg)
     v = _min_f_frame(fr_full)[0]
     if v < mf:
         raise AuditError(f"a full-grid triple improves min F: {v} < {mf}")
@@ -930,10 +997,15 @@ def verify_step(wf_before: WorkFunction, wf_after: WorkFunction,
     mf2, tf2 = min_f(wf_after, cfg)
     mg2, tg2 = min_g(wf_after, cfg)
     mh2, _ = min_h(wf_after, cfg)
+    # The witnesses' rows in wf_after's base frame, which holds their
+    # positions and H.
+    fr, _ = _base_frame(wf_after, cfg)
+    f_idx = _minimum(wf_after, cfg, _min_f_frame)[2]
+    g_idx = _minimum(wf_after, cfg, _min_g_frame)[2]
     w = cfg.weight
     phi1 = (1 - w) * mf1 + w * mg1
     phi2 = (1 - w) * mf2 + w * mg2
-    case = "A" if len(set(tf2)) <= 2 else "B"
+    case = "A" if len(set(f_idx)) <= 2 else "B"
 
     checks = []
     if wf_before.i == 0:
@@ -944,7 +1016,7 @@ def verify_step(wf_before: WorkFunction, wf_after: WorkFunction,
         "minimum_in_r", all(serves(p, r_next) for p in (*tf2, *tg2)),
         note="F and G minimizers must serve the new request"))
 
-    checks.extend(_dominate_checks(wf_after, r_next, cfg, tf2))
+    checks.extend(_dominate_checks(wf_after, cfg, fr.P[list(f_idx)]))
 
     checks.append(CheckResult("chain_f_g_h", mf2 <= mg2 <= mh2, mf2, mh2,
                               min(mg2 - mf2, mh2 - mg2)))
@@ -980,12 +1052,11 @@ def verify_step(wf_before: WorkFunction, wf_after: WorkFunction,
     checks.append(CheckResult("phi_increase", lhs >= rhs, lhs, rhs, lhs - rhs))
     ratio = lhs / nabla if nabla > 0 else None
 
-    checks.append(_domination_candidates_check(wf_before, r_prev, r_next,
-                                               set((*tf2, *tg2))))
+    checks.append(_domination_candidates_check(wf_before, wf_after, cfg,
+                                               sorted(set(f_idx + g_idx))))
 
     if (tg2[0].x == tg2[1].x == tg2[2].x) or (tg2[0].y == tg2[1].y == tg2[2].y):
-        best_h = min(h_value(wf_after, u1, u2, cfg.pair_param)
-                     for u1 in tg2 for u2 in tg2)
+        best_h = Fraction(int(fr.HT[np.ix_(g_idx, g_idx)].min()), fr.h_den)
         checks.append(CheckResult("convex_containment", best_h <= mg2,
                                   best_h, mg2, mg2 - best_h,
                                   note="aligned G minimizer admits a pair "

@@ -37,15 +37,20 @@ outward): its maximum is at one of them.  Positions and values scaled by
 
 Internally values are stored as numpy int64 at a fixed per-instance scale
 (the lcm of all coordinate and weight denominators), which keeps the update
-exact while letting it vectorize.  The public API only speaks Fraction.
+exact while letting it vectorize.  Kernels work on grid indices and integer
+positions (gx, gy, and the last request's indices xr, yr); a point is looked
+up by a sorted search of the grid, and W at positions off it is the integer
+minimum over the anchors (_w_at).  The public API only speaks Fraction.
 """
 
 from __future__ import annotations
 
 import copy
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from operator import attrgetter
 from typing import Iterable, Optional, Tuple
 
 import numpy as np
@@ -53,7 +58,7 @@ import numpy as np
 from .errors import ConfigError, EmptySetError, RequestIndexError, WfalabError
 from .exact import common_denominator, frac, scaled_int
 from .metric import (IndexPoint, ProductPoint, RealPoint, ResolvedAxis,
-                     SpacePoint, product_key)
+                     SpacePoint, check_point, product_key)
 from .problem import Grid, Instance, RequestPoint, grid_after, grid_points_on
 
 
@@ -94,7 +99,8 @@ class _AxisKit:
     A position is a line point's weighted coordinate times the scale, or a
     finite point's index into the scaled table; either sorts like the points.
     Coordinates and table entries are int64, or Python ints with
-    dtype=object for callers whose bound shows int64 could overflow.
+    dtype=object for callers whose bound shows int64 could overflow.  On a
+    finite space near[p] lists every point by distance from p, ties by index.
     """
 
     def __init__(self, resolved: ResolvedAxis, scale: int, dtype=np.int64):
@@ -107,6 +113,9 @@ class _AxisKit:
                 [[scaled_int(self.weight * e, scale) for e in row]
                  for row in resolved.matrix],
                 dtype=dtype)
+            # A Python sort: numpy's first sort in a process maps 0.4 MB more code.
+            self.near = np.array([sorted(range(len(row)), key=row.__getitem__)
+                                  for row in self.D.tolist()])
 
     def pos(self, points: Iterable[SpacePoint]) -> np.ndarray:
         if self.kind == "line":
@@ -127,6 +136,13 @@ class _AxisKit:
             return int(pos.max()) - int(pos.min())
         return int(self.D.max())
 
+    def reach(self, m: int, pos: np.ndarray, fine) -> int:
+        """An upper bound on the distance between one of pos, taken to m
+        times the scale, and one of fine, already there."""
+        if self.kind == "finite":
+            return m * int(self.D.max())
+        return m * int(np.abs(pos).max()) + int(np.abs(np.asarray(fine)).max())
+
     def point(self, q) -> SpacePoint:
         """The point at position q; the inverse of pos."""
         if self.kind == "line":
@@ -135,6 +151,8 @@ class _AxisKit:
 
     def refine(self, m: int, dtype, pos: np.ndarray) -> tuple:
         """This kit at m times the scale in dtype, and its positions pos in it."""
+        if m == 1 and dtype is self.dtype:
+            return self, pos
         fine = copy.copy(self)
         fine.scale, fine.dtype = self.scale * m, dtype
         if self.kind == "finite":
@@ -163,17 +181,29 @@ class _AxisKit:
 
 def _added(points: tuple, pos: np.ndarray, p: SpacePoint, q) -> tuple:
     """Sorted grid coordinates and their positions, with p at position q
-    put in its place unless already there."""
+    put in its place unless already there, and p's index among them."""
     k = int(pos.searchsorted(q))
     if k < len(pos) and pos[k] == q:
-        return points, pos
-    return points[:k] + (p,) + points[k:], np.insert(pos, k, q)
+        return points, pos, k
+    return points[:k] + (p,) + points[k:], np.concatenate([pos[:k], [q], pos[k:]]), k
+
+
+def _find(points: tuple, p: SpacePoint) -> Optional[int]:
+    """Index of p among sorted grid coordinates (of one kind), None when it
+    is not one."""
+    if type(points[0]) is not type(p):
+        return None
+    key = attrgetter("value" if isinstance(p, RealPoint) else "index")
+    k = bisect_left(points, key(p), key=key)
+    return k if k < len(points) and points[k] == p else None
 
 
 @dataclass(frozen=True, eq=False)
 class WorkFunction:
     """W on the grid after i requests: vals[a, b] is scale * W(grid.xs[a],
-    grid.ys[b]), and gx, gy are the kits' positions of grid.xs, grid.ys."""
+    grid.ys[b]), gx, gy are the kits' positions of grid.xs, grid.ys, and
+    xr, yr index the last request's coordinates (the origin's before any)
+    in them."""
 
     instance: Instance
     i: int
@@ -184,28 +214,26 @@ class WorkFunction:
     kits: Tuple[_AxisKit, _AxisKit] = field(repr=False)
     gx: np.ndarray = field(repr=False)
     gy: np.ndarray = field(repr=False)
+    xr: int
+    yr: int
 
     # -- derived structure -------------------------------------------------
 
     @cached_property
-    def _xi(self) -> dict:
-        return {p: k for k, p in enumerate(self.grid.xs)}
-
-    @cached_property
-    def _yi(self) -> dict:
-        return {p: k for k, p in enumerate(self.grid.ys)}
+    def _line_cells(self) -> tuple:
+        """(x indices, y indices) of the grid cells on the last request's
+        lines (the origin's before any), in grid_points_on order."""
+        nx, ny = self.vals.shape
+        return (np.concatenate([np.full(ny, self.xr), np.delete(np.arange(nx), self.xr)]),
+                np.concatenate([np.arange(ny), np.full(nx - 1, self.yr)]))
 
     @cached_property
     def _anchor_cells(self) -> tuple:
         """(x indices, y indices, values) of the grid cells on the last
-        request's lines (the origin before any), in grid_points_on order,
-        less those dominated by another.  Every configuration is dominated
-        by one of the rest, so a minimum over them evaluates W anywhere."""
-        r = self.instance.origin if self.last_request is None else self.last_request
-        xi, yi = self._xi[r.x], self._yi[r.y]
-        nx, ny = self.vals.shape
-        cx = np.concatenate([np.full(ny, xi), np.delete(np.arange(nx), xi)])
-        cy = np.concatenate([np.arange(ny), np.full(nx - 1, yi)])
+        request's lines, in grid_points_on order, less those dominated by
+        another.  Every configuration is dominated by one of the rest, so a
+        minimum over them evaluates W anywhere."""
+        cx, cy = self._line_cells
         av = self.vals[cx, cy]
         kx, ky = self.kits
         px, py = self.gx[cx], self.gy[cy]
@@ -233,19 +261,56 @@ class WorkFunction:
 
     # -- evaluation --------------------------------------------------------
 
+    def _locate(self, s: ProductPoint) -> tuple:
+        """(m, (x, y), (a, b)): s's positions at m times the scale, m the
+        least factor that makes both integers, and the grid indices of its
+        coordinates (None off the grid).  A grid coordinate's position is
+        read from gx or gy, so a grid point converts nothing."""
+        a, b = _find(self.grid.xs, s.x), _find(self.grid.ys, s.y)
+        if a is not None and b is not None:
+            return 1, (int(self.gx[a]), int(self.gy[b])), (a, b)
+        inst = self.instance
+        exact = []
+        for space, kit, g, p, k in zip((inst.space_x, inst.space_y), self.kits,
+                                       (self.gx, self.gy), (s.x, s.y), (a, b)):
+            if k is not None:
+                exact.append(Fraction(int(g[k])))
+            else:
+                check_point(space, p)
+                exact.append(Fraction(p.index) if kit.kind == "finite"
+                             else p.value * kit.weight * self.scale)
+        m = common_denominator(exact)
+        # refine() leaves finite positions as indices.
+        return m, tuple(int(v if kit.kind == "finite" else v * m)
+                        for kit, v in zip(self.kits, exact)), (a, b)
+
+    def _w_at(self, m: int, X, Y) -> np.ndarray:
+        """m * scale * W at the positions X, Y, given at m times the scale:
+        the minimum over the anchors of v + d, in Python ints when int64
+        could overflow."""
+        cx, cy, av = self._anchor_cells
+        axes = [(kit, g, np.asarray(P)) for kit, g, P in
+                zip(self.kits, (self.gx[cx], self.gy[cy]), (X, Y))]
+        big = m * int(av.max()) + sum(kit.reach(m, g, P) for kit, g, P in axes)
+        dtype = np.int64 if big < 2 ** 62 else object
+        W = av.astype(dtype)[:, None] * m
+        for kit, g, P in axes:
+            fine, G = kit.refine(m, dtype, g)
+            W = W + fine.dists(G, P)
+        return W.min(axis=0)
+
     def value_at(self, g: ProductPoint) -> Fraction:
-        try:
-            return Fraction(int(self.vals[self._xi[g.x], self._yi[g.y]]), self.scale)
-        except KeyError:
-            raise WfalabError(f"{g} is not a grid point") from None
+        a, b = _find(self.grid.xs, g.x), _find(self.grid.ys, g.y)
+        if a is None or b is None:
+            raise WfalabError(f"{g} is not a grid point")
+        return Fraction(int(self.vals[a, b]), self.scale)
 
     def evaluate(self, s: ProductPoint) -> Fraction:
-        """W at an arbitrary configuration, via the dominating anchors."""
-        xi = self._xi.get(s.x)
-        if xi is not None:
-            yi = self._yi.get(s.y)
-            if yi is not None:
-                return Fraction(int(self.vals[xi, yi]), self.scale)
+        """W at an arbitrary configuration, via the dominating anchors; in
+        Fraction, so the tests' oracles do not run through _w_at."""
+        a, b = _find(self.grid.xs, s.x), _find(self.grid.ys, s.y)
+        if a is not None and b is not None:
+            return Fraction(int(self.vals[a, b]), self.scale)
         return min(v + self.instance.distance(p, s) for p, v in self.anchors)
 
     def opt_cost(self) -> Fraction:
@@ -266,8 +331,8 @@ class WorkFunction:
                 f"request {r} is not request #{self.i} of the instance")
         kx, ky = self.kits
         rx, ry = kx.pos([r.x]), ky.pos([r.y])
-        xs, gx = _added(self.grid.xs, self.gx, r.x, rx[0])
-        ys, gy = _added(self.grid.ys, self.gy, r.y, ry[0])
+        xs, gx, xr = _added(self.grid.xs, self.gx, r.x, rx[0])
+        ys, gy, yr = _added(self.grid.ys, self.gy, r.y, ry[0])
         cx, cy, av = self._anchor_cells
         # Every sum below is an anchor value plus at most two distances per
         # axis between new-grid positions.
@@ -279,7 +344,7 @@ class WorkFunction:
         vals = np.minimum(kx.dists(rx, gx)[0][:, None] + on_v[None, :],
                           on_h[:, None] + ky.dists(ry, gy)[0][None, :])
         return WorkFunction(inst, self.i + 1, Grid(xs, ys), r, vals, self.scale,
-                            self.kits, gx, gy)
+                            self.kits, gx, gy, xr, yr)
 
     def rescaled(self, instance: Instance) -> "WorkFunction":
         """W after the same i requests, as a work function of instance.
@@ -312,7 +377,7 @@ class WorkFunction:
         kx, ky = _AxisKit(ax, scale), _AxisKit(ay, scale)
         return WorkFunction(instance, self.i, self.grid, self.last_request,
                             vals, scale, (kx, ky), kx.pos(self.grid.xs),
-                            ky.pos(self.grid.ys))
+                            ky.pos(self.grid.ys), self.xr, self.yr)
 
     # -- slack -------------------------------------------------------------
 
@@ -352,21 +417,25 @@ class WorkFunction:
         left tail at the tail's right end, not at the smallest cone apex.
         """
         lam = _param_value(lam)
-        return min((self._line_max(fixed, r_next, lam) for fixed in "xy"),
+        kx, ky = self.kits
+        nxt = (kx.pos([r_next.x]), ky.pos([r_next.y]))
+        return min((self._line_max(fixed, nxt, lam) for fixed in "xy"),
                    key=lambda vw: (-vw[0], product_key(vw[1])))
 
-    def _line_max(self, fixed: str, r_next: RequestPoint, lam: Fraction) -> tuple:
+    def _line_max(self, fixed: str, nxt: tuple, lam: Fraction) -> tuple:
         """max of f - g (module docstring) on the last request's line whose
-        `fixed` coordinate is the request's; u is that axis, v the other."""
+        `fixed` coordinate is the request's; u is that axis, v the other.
+        nxt holds the next request's positions, one array per axis."""
         cx, cy, w = self._anchor_cells
-        kx, ky = self.kits
-        r_prev = self.last_request or self.instance.origin
-        axes = [(kx, self.gx[cx], r_prev.x, r_next.x), (ky, self.gy[cy], r_prev.y, r_next.y)]
-        (ku, apu, u_prev, u_next), (kv, apv, _, v_next) = axes if fixed == "x" else axes[::-1]
-        upos = ku.pos([u_prev, u_next])
-        du = ku.dists(apu, upos)  # columns: to r_prev.u, to r_next.u
+        axes = [(self.kits[0], self.gx, cx, self.grid.xs[self.xr], self.xr, nxt[0]),
+                (self.kits[1], self.gy, cy, self.grid.ys[self.yr], self.yr, nxt[1])]
+        (ku, gu, cu, u_prev, ru, u_next), (kv, gv, cv, _, _, v_next) = (
+            axes if fixed == "x" else axes[::-1])
+        upos = np.append(gu[ru], u_next)
+        du = ku.dists(gu[cu], upos)  # columns: to r_prev.u, to r_next.u
         shift = int(ku.dists(upos, upos)[1, 0])
-        vpos = np.append(apv, kv.pos([v_next]))  # the cone apexes, r_next.v's last
+        apv = gv[cv]
+        vpos = np.append(apv, v_next)  # the cone apexes, r_next.v's last
         dv = kv.dists(apv, vpos[-1:])[:, 0]
         # Every term below is under q * m * big in magnitude, every difference
         # under twice that; positions enter the crossings, spans the sums.
@@ -398,4 +467,4 @@ def initial(instance: Instance) -> WorkFunction:
     kx, ky = _AxisKit(ax, scale), _AxisKit(ay, scale)
     vals = np.zeros((len(grid.xs), len(grid.ys)), dtype=np.int64)
     return WorkFunction(instance, 0, grid, None, vals, scale, (kx, ky),
-                        kx.pos(grid.xs), ky.pos(grid.ys))
+                        kx.pos(grid.xs), ky.pos(grid.ys), 0, 0)

@@ -3,8 +3,8 @@
 import random
 from fractions import Fraction
 
-from wfalab import (Instance, ProductPoint, RealLine, RequestPoint, Scaled,
-                    idx, pt, request)
+from wfalab import (Instance, ProductPoint, RealLine, RealPoint, RequestPoint,
+                    Scaled, idx, pt, request)
 from wfalab.harness import uniform_metric
 
 
@@ -32,6 +32,15 @@ def weighted_instance(rng: random.Random, n: int, bound: int = 4,
                  for _ in range(n))
     return Instance(Scaled(RealLine(), Fraction(wx)),
                     Scaled(RealLine(), Fraction(wy)), pt(0, 0), reqs)
+
+
+def mixed_instance(rng: random.Random, n: int) -> Instance:
+    """A uniform finite x axis and a line y axis: the Lipschitz probe runs
+    at the steps whose major axis is the finite one."""
+    reqs = tuple(RequestPoint(idx(rng.randrange(4)), RealPoint(quarter(rng, 1)))
+                 for _ in range(n))
+    return Instance(uniform_metric(4), RealLine(),
+                    ProductPoint(idx(0), RealPoint(0)), reqs)
 
 
 def wide_instance():

@@ -5,12 +5,15 @@ from fractions import Fraction
 
 import pytest
 
-from wfalab import (AlgorithmConfig, ConfigError, Instance, RealLine,
-                    greedy_step, initial, pt, request, retrospective_step, run,
-                    serves, wfa_minimizers, wfa_step)
+from wfalab import (AlgorithmConfig, ConfigError, Instance, ProductPoint,
+                    RealLine, greedy_step, initial, pt, request,
+                    retrospective_step, run, serves, wfa_minimizers, wfa_step)
 from wfalab.harness import example_trace
+from wfalab.metric import IndexPoint, RealPoint, product_key
+from wfalab.problem import grid_points_on
 
-from conftest import finite_instance, plane_instance
+from conftest import (finite_instance, mixed_instance, plane_instance,
+                      weighted_instance, wide_instance)
 
 HALF = Fraction(1, 2)
 
@@ -124,3 +127,77 @@ def test_verify_needs_a_sub_unit_lambda_or_explicit_config():
     with pytest.raises(ConfigError):
         run(inst, AlgorithmConfig("wfa", HALF), verify=True,
             potential_config=default_constants(Fraction(1, 4)))
+
+
+def fraction_minimizers(wf_after, current, r, lam):
+    """The Fraction scorer: W(t) + lam * d(current, t) at every grid point
+    of the request's lines, then at the projections of the current position
+    not among them, with W(t) the minimum over the anchors of v + d."""
+    inst = wf_after.instance
+    cands = list(grid_points_on(wf_after.grid, r))
+    for p in (ProductPoint(r.x, current.y), ProductPoint(current.x, r.y)):
+        if p not in cands:
+            cands.append(p)
+    scores = [min(v + inst.distance(a, t) for a, v in wf_after.anchors)
+              + lam * inst.distance(current, t) for t in cands]
+    return [t for t, v in zip(cands, scores) if v == min(scores)]
+
+
+def wider_instance():
+    """wide_instance with requests over 37, 41 and 43 as well: scale about
+    4.4e14, so at lambda = 997/1000 q * W outgrows int64."""
+    extra = (request(Fraction(300, 37), Fraction(-200, 41)),
+             request(Fraction(-100, 43), Fraction(50, 37)))
+    inst = wide_instance()
+    return Instance(inst.space_x, inst.space_y, inst.origin,
+                    inst.requests + extra)
+
+
+def off_grid(inst, rng):
+    """A configuration whose line coordinates are sevenths (off the grid
+    and off its scale, mostly) and whose finite coordinates are any point."""
+    return ProductPoint(*(RealPoint(Fraction(rng.randint(-40, 40), 7))
+                          if axis.kind == "line" else IndexPoint(rng.randrange(axis.size))
+                          for axis in inst._axes))
+
+
+@pytest.mark.parametrize("maker", [plane_instance, weighted_instance,
+                                   finite_instance, mixed_instance])
+def test_retrospective_step_matches_the_fraction_scan(maker):
+    """The retrospective move is the product_key-first grid point of the
+    request's lines with the least W, as a Fraction scan finds it."""
+    inst = maker(random.Random(56), 8)
+    wf = initial(inst)
+    for r in inst.requests:
+        wf = wf.update(r)
+        cands = grid_points_on(wf.grid, r)
+        best = min(wf.value_at(t) for t in cands)
+        want = min((t for t in cands if wf.value_at(t) == best), key=product_key)
+        assert retrospective_step(wf, r) == want
+
+
+@pytest.mark.parametrize("maker", ["plane", "weighted", "finite", "mixed",
+                                   "wide", "wider"])
+def test_wfa_minimizers_match_the_fraction_scoring(maker):
+    """Along WFA runs, the integer argmin returns the Fraction scorer's
+    minimizers in its order, at the run's own positions and at off-grid
+    ones; the wider instance's scores need Python ints."""
+    rng = random.Random(55)
+    if maker in ("wide", "wider"):
+        runs = [(wide_instance() if maker == "wide" else wider_instance(),
+                 Fraction(997, 1000))]
+    else:
+        make = {"plane": plane_instance, "weighted": weighted_instance,
+                "finite": finite_instance, "mixed": mixed_instance}[maker]
+        runs = [(make(rng, 6), lam) for lam in (Fraction(1, 4), HALF, Fraction(1))]
+    wide_scores = 0
+    for inst, lam in runs:
+        wf, pos = initial(inst), inst.origin
+        for r in inst.requests:
+            wf = wf.update(r)
+            wide_scores += lam.denominator * int(wf.vals.max()) >= 2 ** 62
+            for current in (pos, off_grid(inst, rng), ProductPoint(r.x, pos.y)):
+                assert (wfa_minimizers(wf, current, r, lam)
+                        == fraction_minimizers(wf, current, r, lam))
+            pos = wfa_step(wf, pos, r, lam)
+    assert bool(wide_scores) == (maker == "wider")

@@ -3,6 +3,7 @@
 import dataclasses
 import random
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -10,21 +11,22 @@ import pytest
 
 from wfalab import (AlgorithmConfig, AuditError, ConfigError, Instance,
                     ProductPoint, RealLine, RegionSpaceError, RequestPoint,
-                    WfalabError, idx, initial, pt, request, run)
+                    WfalabError, idx, initial, pt, request, run,
+                    wfa_minimizers, wfa_step)
 from wfalab.metric import IndexPoint, RealPoint, product_key
-from wfalab.harness import GeneratorConfig, generate, uniform_metric
+from wfalab.harness import GeneratorConfig, generate
 from wfalab.potential import (Boks, CnnPotential, GeneralPotential, Spheres,
                               _audit, _candidates, _domination_samples,
-                              _Frame, _min_f_frame, _min_g_frame,
+                              _Frame, _min_f_frame, _min_g_frame, _positions,
                               _refined_candidates, config_from_json,
                               config_to_json, default_constants, f_value,
                               g_value, h_value, min_f, min_g, min_h, phi,
                               region_membership, region_slack, verify_step)
 from wfalab.problem import grid_points_on, serves
-from wfalab.workfn import WorkFunction
+from wfalab.workfn import WorkFunction, _AxisKit
 
-from conftest import (finite_instance, plane_instance, quarter,
-                      weighted_instance, wide_instance)
+from conftest import (finite_instance, mixed_instance, plane_instance,
+                      quarter, weighted_instance, wide_instance)
 
 HALF = Fraction(1, 2)
 
@@ -222,6 +224,32 @@ def lex3(triple):
     return tuple(product_key(p) for p in triple)
 
 
+def position_points(wf, m, P):
+    """The points at the (k, 2) positions P, given at m * wf.scale."""
+    return [ProductPoint(*(RealPoint(Fraction(q, m * wf.scale) / kit.weight)
+                           if kit.kind == "line" else IndexPoint(q)
+                           for kit, q in zip(wf.kits, row)))
+            for row in P.tolist()]
+
+
+def refined_fraction_candidates(wf):
+    """The audit's refined candidates by their definition: the request
+    lines' candidates plus the midpoints between consecutive grid
+    coordinates along each line axis, sorted by product_key."""
+    r = wf.last_request
+    ax, ay = wf.instance._axes
+    pts = list(triple_candidates(wf))
+    if ay.kind == "line":
+        ys = sorted(p.value for p in wf.grid.ys)
+        pts.extend(ProductPoint(r.x, RealPoint((a + b) / 2))
+                   for a, b in zip(ys, ys[1:]))
+    if ax.kind == "line":
+        xs = sorted(p.value for p in wf.grid.xs)
+        pts.extend(ProductPoint(RealPoint((a + b) / 2), r.y)
+                   for a, b in zip(xs, xs[1:]))
+    return sorted(set(pts), key=product_key)
+
+
 @pytest.mark.parametrize("maker", ["plane", "finite", "weighted", "wide"])
 def test_triple_minima_match_direct_scan(maker):
     rng = random.Random(65)
@@ -277,12 +305,14 @@ def test_frame_rows_match_the_fraction_oracle(maker):
         inst = wide_instance()
         lam = Fraction(997, 1000)
     wf = run_to_end(inst)
-    cands = _refined_candidates(wf, wf.last_request)
+    P = _refined_candidates(wf)
+    cands = position_points(wf, 2, P)
+    assert cands == refined_fraction_candidates(wf)
     for variant in ("cnn", "general"):
         if variant == "cnn" and maker == "finite":
             continue
         cfg = default_constants(lam, variant)
-        fr = _Frame(wf, cands, cfg)
+        fr = _Frame(wf, 2, P, cfg)
         assert (fr.HT.dtype == object) == (maker == "wide")
         k = len(cands)
         block = fr.f_row(np.arange(k)), fr.g_row(np.arange(k))
@@ -304,8 +334,8 @@ def test_triple_minima_hold_no_cubic_table():
     under a quarter of a k x k x k int64 table."""
     inst = generate(GeneratorConfig("uniform_random", n=80, coord_range=1000), 1)
     wf = run_to_end(inst)
-    fr = _Frame(wf, _candidates(wf), default_constants(HALF))
-    k = len(fr.cands)
+    fr = _Frame(wf, 1, _positions(wf, _candidates(wf)), default_constants(HALF))
+    k = len(fr.P)
     assert k >= 160
     for kernel in (_min_f_frame, _min_g_frame):
         tracemalloc.start()
@@ -461,15 +491,6 @@ def test_verified_runs_with_general_constants_on_weighted_lines():
     assert trace.phi_final <= trace.opt_cost
 
 
-def mixed_instance(rng, n):
-    """A uniform finite x axis and a line y axis: the Lipschitz probe runs
-    at the steps whose major axis is the finite one."""
-    reqs = tuple(RequestPoint(idx(rng.randrange(4)), RealPoint(quarter(rng, 1)))
-                 for _ in range(n))
-    return Instance(uniform_metric(4), RealLine(),
-                    ProductPoint(idx(0), RealPoint(0)), reqs)
-
-
 def steps(inst):
     """(W before, W after, request) for every request of the instance."""
     wf = initial(inst)
@@ -482,9 +503,19 @@ def steps(inst):
 @pytest.mark.parametrize("maker", [plane_instance, weighted_instance,
                                    finite_instance, mixed_instance])
 def test_candidates_are_the_sorted_request_lines(maker):
+    """Each candidate index, read as a grid coordinate on a line axis and a
+    point index on a finite one, and each candidate position, read back as a
+    point, is the sorted request lines' point in its place."""
     inst = maker(random.Random(77), 6)
     for _, wf, _ in steps(inst):
-        assert _candidates(wf) == tuple(triple_candidates(wf))
+        idx = _candidates(wf)
+        want = triple_candidates(wf)
+        xs, ys = (coords if kit.kind == "line"
+                  else [IndexPoint(j) for j in range(len(kit.D))]
+                  for kit, coords in zip(wf.kits, (wf.grid.xs, wf.grid.ys)))
+        assert len(idx) == len(want)
+        assert [ProductPoint(xs[a], ys[b]) for a, b in idx.tolist()] == want
+        assert position_points(wf, 1, _positions(wf, idx)) == want
 
 
 def fraction_samples(wf, r):
@@ -509,6 +540,16 @@ def fraction_samples(wf, r):
     return samples, two_candidate
 
 
+def sample_points(wf):
+    """_domination_samples(wf) with its grid cells as points and its
+    distances as Fractions."""
+    (s, t, d), two_candidate = _domination_samples(wf)
+    xs, ys = wf.grid.xs, wf.grid.ys
+    return [(ProductPoint(xs[a], ys[b]), ProductPoint(xs[c], ys[e]),
+             Fraction(dd, wf.scale))
+            for (a, b), (c, e), dd in zip(s.tolist(), t.tolist(), d.tolist())], two_candidate
+
+
 @pytest.mark.parametrize("maker", [plane_instance, weighted_instance,
                                    finite_instance, mixed_instance])
 def test_domination_samples_match_the_fraction_loop(maker):
@@ -516,7 +557,7 @@ def test_domination_samples_match_the_fraction_loop(maker):
     broken = 0
     for _ in range(3):
         for _, wf, r in steps(maker(rng, 8)):
-            assert _domination_samples(wf, r) == fraction_samples(wf, r)
+            assert sample_points(wf) == fraction_samples(wf, r)
             # One unit off an off-request value undoes its domination: at the
             # first such cell two_candidate fails, at the last it only does
             # when fewer than six samples come before it.
@@ -527,7 +568,7 @@ def test_domination_samples_match_the_fraction_loop(maker):
                 vals = wf.vals.copy()
                 vals[cell] -= 1
                 bent = dataclasses.replace(wf, vals=vals)
-                got = _domination_samples(bent, r)
+                got = sample_points(bent)
                 assert got == fraction_samples(bent, r)
                 broken += not got[1]
     assert broken
@@ -604,3 +645,30 @@ def test_probe_replays_no_updates(monkeypatch):
                          probe=True)
     assert {"lipschitz_nabla", "lipschitz_min_g"} <= {c.name for c in report.checks}
     assert len(calls) == 1
+
+
+def test_verified_plane_step_converts_no_points(monkeypatch):
+    """A verified plane step (probe off) and the WFA argmin at the run's own
+    position work on grid indices and positions: no point goes through
+    _AxisKit.pos and no Fraction WorkFunction.evaluate is made."""
+    inst = plane_instance(random.Random(81), 6)
+    cfg = default_constants(HALF)
+    todo = []
+    pos = inst.origin
+    for before, after, r in steps(inst):
+        todo.append((before, after, r, before.extended_cost(r, HALF)[0], pos))
+        pos = wfa_step(after, pos, r, HALF)
+    calls = Counter()
+    for owner, name in ((_AxisKit, "pos"), (WorkFunction, "evaluate")):
+        def counted(*args, _name=name, _fn=getattr(owner, name)):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(owner, name, counted)
+    for before, after, r, nabla, pos in todo:
+        report = verify_step(before, after, r, cfg, HALF, probe=False, _nabla=nabla)
+        assert report.failures == 0
+        assert wfa_minimizers(after, pos, r, HALF)
+    assert calls == Counter()
+    # The counters see what does convert: an off-grid evaluate.
+    after.evaluate(pt(Fraction(1, 3), Fraction(1, 5)))
+    assert calls["evaluate"] == 1
