@@ -49,6 +49,8 @@ def test_wfa_step_prefers_small_moves_then_lex():
     mins = wfa_minimizers(wf, pt(1, 2), inst.requests[0], 1)
     assert pt(1, 2) in mins and len(mins) == 4
     assert wfa_step(wf, pt(1, 2), inst.requests[0], 1) == pt(1, 2)
+    with pytest.raises(ConfigError):
+        wfa_minimizers(wf, pt(0, 0), request(0, 1), 1)
 
 
 def test_greedy_tie_keeps_x_projection():
@@ -60,6 +62,8 @@ def test_greedy_tie_keeps_x_projection():
 def test_retrospective_breaks_ties_lexicographically():
     inst, wf = single_request_wf(1, 1)
     assert retrospective_step(wf, inst.requests[0]) == pt(0, 1)
+    with pytest.raises(ConfigError):
+        retrospective_step(wf, request(0, 1))
 
 
 def test_straight_line_family_at_lambda_one():
