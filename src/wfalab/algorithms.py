@@ -89,11 +89,13 @@ def wfa_minimizers(wf_after: WorkFunction, current: ProductPoint,
     # W at a candidate off the grid exceeds W at a grid point of its line by
     # at most a distance, and every distance here is under reach.
     reach = sum(kit.reach(m, g, [c]) for kit, g, c in zip(wf_after.kits, grids, cur))
-    bound = q * (m * int(wf_after.vals.max()) + reach) + p * reach
+    lines = wf_after.lines
+    bound = q * (m * int(lines.max()) + reach) + p * reach
     dtype = np.int64 if bound < 2 ** 62 else object
-    on = (cands >= 0).all(axis=1)
+    # The first len(lines) candidates are the line cells, the rest off the grid.
+    on = len(lines)
     W = np.zeros(len(cands), dtype=dtype)
-    W[on] = wf_after.vals[cands[on, 0], cands[on, 1]].astype(dtype) * m
+    W[:on] = lines.astype(dtype) * m
     d = np.zeros(len(cands), dtype=dtype)
     pos = []
     for kit, g, c, col in zip(wf_after.kits, grids, cur, cands.T):
@@ -102,8 +104,8 @@ def wfa_minimizers(wf_after: WorkFunction, current: ProductPoint,
         P[col < 0] = c
         d = d + fine.dists(np.array([c], dtype=P.dtype), P)[0]
         pos.append(P)
-    if not on.all():
-        W[~on] = wf_after._w_at(m, pos[0][~on], pos[1][~on])
+    if on < len(cands):
+        W[on:] = wf_after._w_at(m, pos[0][on:], pos[1][on:])
     score = q * W + p * d
     hits = np.flatnonzero(score == score.min())
     xs, ys = wf_after.grid.xs, wf_after.grid.ys
@@ -137,7 +139,7 @@ def retrospective_step(wf_after: WorkFunction, r: RequestPoint) -> ProductPoint:
     if r != wf_after.last_request:
         raise ConfigError("wf_after must be the work function after r")
     cx, cy = wf_after._line_cells
-    v = wf_after.vals[cx, cy]
+    v = wf_after.lines
     best = v == v.min()
     a, b = min(zip(cx[best].tolist(), cy[best].tolist()))
     return ProductPoint(wf_after.grid.xs[a], wf_after.grid.ys[b])
@@ -180,20 +182,17 @@ class RunTrace:
 
 
 def run(instance: Instance, config: AlgorithmConfig, verify: bool = False,
-        potential_config=None, *, audit: bool = False,
-        accounting_lam=None) -> RunTrace:
+        potential_config=None, *, audit: bool = False) -> RunTrace:
     """Drive one algorithm over the full request sequence.
 
     The extended cost of each step uses the accounting lambda: the
-    algorithm's own for wfa, 1 for the others unless overridden.  With
-    verify=True each step is also pushed through the potential verifier,
-    which needs a potential configuration (or a wfa lambda strictly below 1
-    to derive default constants from).
+    algorithm's own for wfa, 1 for the others.  With verify=True each step
+    is also pushed through the potential verifier, which needs a potential
+    configuration (or a wfa lambda strictly below 1 to derive default
+    constants from).  A WfalabError raised at step j is re-raised as the
+    same class with its message prefixed "step j: ".
     """
-    if config.kind == "wfa":
-        acct_lam = config.lam if accounting_lam is None else frac(accounting_lam)
-    else:
-        acct_lam = Fraction(1) if accounting_lam is None else frac(accounting_lam)
+    acct_lam = config.lam if config.kind == "wfa" else Fraction(1)
 
     pcfg = potential_config
     if verify and pcfg is None:
@@ -214,49 +213,52 @@ def run(instance: Instance, config: AlgorithmConfig, verify: bool = False,
     prev_request = None
 
     for j, r in enumerate(instance.requests):
-        nabla, _witness = wf.extended_cost(r, acct_lam)
-        nabla_total += nabla
-        ref = prev_request if prev_request is not None else RequestPoint(
-            instance.origin.x, instance.origin.y)
-        delta_x = instance.distance_x(ref.x, r.x)
-        delta_y = instance.distance_y(ref.y, r.y)
+        try:
+            nabla, _witness = wf.extended_cost(r, acct_lam)
+            nabla_total += nabla
+            ref = prev_request if prev_request is not None else RequestPoint(
+                instance.origin.x, instance.origin.y)
+            delta_x = instance.distance_x(ref.x, r.x)
+            delta_y = instance.distance_y(ref.y, r.y)
 
-        wf_next = wf.update(r)
+            wf_next = wf.update(r)
 
-        ties = 1
-        if config.kind == "wfa":
-            mins = wfa_minimizers(wf_next, pos, r, config.lam)
-            ties = len(mins)
-            new_pos = min(mins, key=lambda t: (instance.distance(pos, t),
-                                               product_key(t)))
-        elif config.kind == "greedy":
-            new_pos = greedy_step(instance, pos, r)
-        else:
-            new_pos = retrospective_step(wf_next, r)
-        if not serves(new_pos, r):
-            raise WfalabError(f"step {j}: position {new_pos} does not serve {r}")
+            ties = 1
+            if config.kind == "wfa":
+                mins = wfa_minimizers(wf_next, pos, r, config.lam)
+                ties = len(mins)
+                new_pos = min(mins, key=lambda t: (instance.distance(pos, t),
+                                                   product_key(t)))
+            elif config.kind == "greedy":
+                new_pos = greedy_step(instance, pos, r)
+            else:
+                new_pos = retrospective_step(wf_next, r)
+            if not serves(new_pos, r):
+                raise WfalabError(f"position {new_pos} does not serve {r}")
 
-        report = None
-        phi_before = phi_after = None
-        if verify:
-            report = potential.verify_step(wf, wf_next, r, pcfg, acct_lam,
-                                           audit=audit, _nabla=nabla)
-            phi_before = report.phi_before
-            phi_after = report.phi_after
-            lemma_failures += report.failures
-            if nabla > 0:
-                step_ratio = (phi_after - phi_before) / nabla
-                if min_ratio is None or step_ratio < min_ratio:
-                    min_ratio = step_ratio
+            report = None
+            phi_before = phi_after = None
+            if verify:
+                report = potential.verify_step(wf, wf_next, r, pcfg, acct_lam,
+                                               audit=audit, _nabla=nabla)
+                phi_before = report.phi_before
+                phi_after = report.phi_after
+                lemma_failures += report.failures
+                if nabla > 0:
+                    step_ratio = (phi_after - phi_before) / nabla
+                    if min_ratio is None or step_ratio < min_ratio:
+                        min_ratio = step_ratio
 
-        move = instance.distance(pos, new_pos)
-        total_cost += move
-        records.append(StepRecord(j, r, pos, new_pos, move, nabla,
-                                  delta_x, delta_y, ties,
-                                  phi_before, phi_after, report))
-        pos = new_pos
-        wf = wf_next
-        prev_request = r
+            move = instance.distance(pos, new_pos)
+            total_cost += move
+            records.append(StepRecord(j, r, pos, new_pos, move, nabla,
+                                      delta_x, delta_y, ties,
+                                      phi_before, phi_after, report))
+            pos = new_pos
+            wf = wf_next
+            prev_request = r
+        except WfalabError as exc:
+            raise type(exc)(f"step {j}: {exc}") from exc
 
     opt = wf.opt_cost() if instance.n else Fraction(0)
     ratio = total_cost / opt if opt > 0 else None

@@ -22,10 +22,6 @@ class RequestPoint:
     x: SpacePoint
     y: SpacePoint
 
-    @property
-    def as_product(self) -> ProductPoint:
-        return ProductPoint(self.x, self.y)
-
 
 def request(x, y) -> RequestPoint:
     p = metric.pt(x, y)

@@ -2,9 +2,10 @@
 
 W after a request sequence maps each configuration s to the cheapest way of
 starting at the origin, serving every request in order, and ending at s.  The
-engine keeps W's values on the coordinate grid; every configuration is
-dominated by a grid point on the last request's lines, so evaluation anywhere
-is an exact minimum over those anchor points.
+engine stores W only on the last request's two lines, at the grid's
+coordinates: every configuration is dominated by such a point, so W
+anywhere, the grid's full table included, is an exact minimum over those
+that no other dominates (the anchors).
 
 The update is W_i(s) = min over t serving r_i of W_{i-1}(t) + d(t, s), which
 for s = (x, y) is exactly
@@ -13,7 +14,8 @@ for s = (x, y) is exactly
 
 moving t along the line x = r.x from (r.x, y') to (r.x, y) cuts d(t, s) by
 d_Y(y', y), and W_{i-1} is 1-Lipschitz, so it grows by at most as much (the
-same holds on y = r.y).  W_{i-1} on both lines is a minimum over its anchors.
+same holds on y = r.y).  On r's own lines the other term is never smaller,
+so W_i there is W_{i-1} there, a minimum over the previous anchors.
 
 The extended cost against the next request r' is the maximum over s of the
 slack, min over t serving r' of W(t) + lam*d(t, s) minus W(s), taken on the
@@ -39,7 +41,7 @@ Internally values are stored as numpy int64 at a fixed per-instance scale
 (the lcm of all coordinate and weight denominators), which keeps the update
 exact while letting it vectorize.  Kernels work on grid indices and integer
 positions (gx, gy, and the last request's indices xr, yr); a point is looked
-up by a sorted search of the grid, and W at positions off it is the integer
+up by a sorted search of the grid, and W off the lines is the integer
 minimum over the anchors (_w_at).  The public API only speaks Fraction.
 """
 
@@ -98,21 +100,21 @@ class _AxisKit:
 
     A position is a line point's weighted coordinate times the scale, or a
     finite point's index into the scaled table; either sorts like the points.
-    Coordinates and table entries are int64, or Python ints with
-    dtype=object for callers whose bound shows int64 could overflow.  On a
+    Coordinates and table entries are int64; refine copies them to Python
+    ints (object) for callers whose bound shows int64 could overflow.  On a
     finite space near[p] lists every point by distance from p, ties by index.
     """
 
-    def __init__(self, resolved: ResolvedAxis, scale: int, dtype=np.int64):
+    def __init__(self, resolved: ResolvedAxis, scale: int):
         self.kind = resolved.kind
         self.weight = resolved.weight
         self.scale = scale
-        self.dtype = dtype
+        self.dtype = np.int64
         if self.kind == "finite":
             self.D = np.array(
                 [[scaled_int(self.weight * e, scale) for e in row]
                  for row in resolved.matrix],
-                dtype=dtype)
+                dtype=np.int64)
             # A Python sort: numpy's first sort in a process maps 0.4 MB more code.
             self.near = np.array([sorted(range(len(row)), key=row.__getitem__)
                                   for row in self.D.tolist()])
@@ -200,16 +202,17 @@ def _find(points: tuple, p: SpacePoint) -> Optional[int]:
 
 @dataclass(frozen=True, eq=False)
 class WorkFunction:
-    """W on the grid after i requests: vals[a, b] is scale * W(grid.xs[a],
-    grid.ys[b]), gx, gy are the kits' positions of grid.xs, grid.ys, and
-    xr, yr index the last request's coordinates (the origin's before any)
-    in them."""
+    """W after i requests, stored on the last request's lines (the origin's
+    before any): lines[k] is scale * W at grid cell (_line_cells[0][k],
+    _line_cells[1][k]), the vertical line's cells first.  gx, gy are the
+    kits' positions of grid.xs, grid.ys, and xr, yr index the last request's
+    coordinates in them.  W anywhere else is a minimum over the anchors."""
 
     instance: Instance
     i: int
     grid: Grid
     last_request: Optional[RequestPoint]
-    vals: np.ndarray = field(repr=False)
+    lines: np.ndarray = field(repr=False)
     scale: int
     kits: Tuple[_AxisKit, _AxisKit] = field(repr=False)
     gx: np.ndarray = field(repr=False)
@@ -223,7 +226,7 @@ class WorkFunction:
     def _line_cells(self) -> tuple:
         """(x indices, y indices) of the grid cells on the last request's
         lines (the origin's before any), in grid_points_on order."""
-        nx, ny = self.vals.shape
+        nx, ny = len(self.gx), len(self.gy)
         return (np.concatenate([np.full(ny, self.xr), np.delete(np.arange(nx), self.xr)]),
                 np.concatenate([np.arange(ny), np.full(nx - 1, self.yr)]))
 
@@ -234,7 +237,7 @@ class WorkFunction:
         another.  Every configuration is dominated by one of the rest, so a
         minimum over them evaluates W anywhere."""
         cx, cy = self._line_cells
-        av = self.vals[cx, cy]
+        av = self.lines
         kx, ky = self.kits
         px, py = self.gx[cx], self.gy[cy]
         t = kx.dists(px, px)
@@ -244,6 +247,13 @@ class WorkFunction:
         np.fill_diagonal(dominated, False)
         keep = ~dominated.any(axis=0)
         return cx[keep], cy[keep], av[keep]
+
+    @cached_property
+    def vals(self) -> np.ndarray:
+        """scale * W on the whole grid, vals[a, b] at (grid.xs[a], grid.ys[b]),
+        derived from the anchors; for the verifier's domination samples."""
+        nx, ny = len(self.gx), len(self.gy)
+        return self._w_at(1, np.repeat(self.gx, ny), np.tile(self.gy, nx)).reshape(nx, ny)
 
     @cached_property
     def anchor_points(self) -> Tuple[ProductPoint, ...]:
@@ -299,23 +309,15 @@ class WorkFunction:
             W = W + fine.dists(G, P)
         return W.min(axis=0)
 
-    def value_at(self, g: ProductPoint) -> Fraction:
-        a, b = _find(self.grid.xs, g.x), _find(self.grid.ys, g.y)
-        if a is None or b is None:
-            raise WfalabError(f"{g} is not a grid point")
-        return Fraction(int(self.vals[a, b]), self.scale)
-
     def evaluate(self, s: ProductPoint) -> Fraction:
         """W at an arbitrary configuration, via the dominating anchors; in
         Fraction, so the tests' oracles do not run through _w_at."""
-        a, b = _find(self.grid.xs, s.x), _find(self.grid.ys, s.y)
-        if a is not None and b is not None:
-            return Fraction(int(self.vals[a, b]), self.scale)
         return min(v + self.instance.distance(p, s) for p, v in self.anchors)
 
     def opt_cost(self) -> Fraction:
-        """min over all configurations of W; the offline optimum so far."""
-        return Fraction(int(self.vals.min()), self.scale)
+        """min over all configurations of W; the offline optimum so far,
+        attained at an anchor."""
+        return Fraction(int(self.lines.min()), self.scale)
 
     def dominates(self, t: ProductPoint, s: ProductPoint) -> bool:
         """True when W(s) = W(t) + d(t, s)."""
@@ -341,9 +343,9 @@ class WorkFunction:
         apx, apy = self.gx[cx], self.gy[cy]
         on_v = ((av + kx.dists(apx, rx)[:, 0])[:, None] + ky.dists(apy, gy)).min(axis=0)
         on_h = ((av + ky.dists(apy, ry)[:, 0])[:, None] + kx.dists(apx, gx)).min(axis=0)
-        vals = np.minimum(kx.dists(rx, gx)[0][:, None] + on_v[None, :],
-                          on_h[:, None] + ky.dists(ry, gy)[0][None, :])
-        return WorkFunction(inst, self.i + 1, Grid(xs, ys), r, vals, self.scale,
+        # W is 1-Lipschitz, so W after r is on_v on x = r.x and on_h on y = r.y.
+        lines = np.concatenate([on_v, np.delete(on_h, xr)])
+        return WorkFunction(inst, self.i + 1, Grid(xs, ys), r, lines, self.scale,
                             self.kits, gx, gy, xr, yr)
 
     def rescaled(self, instance: Instance) -> "WorkFunction":
@@ -367,16 +369,16 @@ class WorkFunction:
         ratio = Fraction(scale, self.scale)
         # Both scales hold every value exactly, so each value is a multiple
         # of self.scale / gcd, the ratio's denominator.
-        vals, rest = np.divmod(self.vals, ratio.denominator)
+        lines, rest = np.divmod(self.lines, ratio.denominator)
         if rest.any():
             raise WfalabError("work-function values are not exact at the new scale")
-        if int(vals.max()) * ratio.numerator >= 2 ** 62:
+        if int(lines.max()) * ratio.numerator >= 2 ** 62:
             raise WfalabError("work-function values overflow the integer kernel")
-        vals *= ratio.numerator
+        lines *= ratio.numerator
         ax, ay = instance._axes
         kx, ky = _AxisKit(ax, scale), _AxisKit(ay, scale)
         return WorkFunction(instance, self.i, self.grid, self.last_request,
-                            vals, scale, (kx, ky), kx.pos(self.grid.xs),
+                            lines, scale, (kx, ky), kx.pos(self.grid.xs),
                             ky.pos(self.grid.ys), self.xr, self.yr)
 
     # -- slack -------------------------------------------------------------
@@ -465,6 +467,5 @@ def initial(instance: Instance) -> WorkFunction:
     scale = instance_scale(instance)
     ax, ay = instance._axes
     kx, ky = _AxisKit(ax, scale), _AxisKit(ay, scale)
-    vals = np.zeros((len(grid.xs), len(grid.ys)), dtype=np.int64)
-    return WorkFunction(instance, 0, grid, None, vals, scale, (kx, ky),
-                        kx.pos(grid.xs), ky.pos(grid.ys), 0, 0)
+    return WorkFunction(instance, 0, grid, None, np.zeros(1, dtype=np.int64),
+                        scale, (kx, ky), kx.pos(grid.xs), ky.pos(grid.ys), 0, 0)

@@ -175,8 +175,8 @@ def test_retrospective_step_matches_the_fraction_scan(maker):
     for r in inst.requests:
         wf = wf.update(r)
         cands = grid_points_on(wf.grid, r)
-        best = min(wf.value_at(t) for t in cands)
-        want = min((t for t in cands if wf.value_at(t) == best), key=product_key)
+        best = min(wf.evaluate(t) for t in cands)
+        want = min((t for t in cands if wf.evaluate(t) == best), key=product_key)
         assert retrospective_step(wf, r) == want
 
 
@@ -199,7 +199,7 @@ def test_wfa_minimizers_match_the_fraction_scoring(maker):
         wf, pos = initial(inst), inst.origin
         for r in inst.requests:
             wf = wf.update(r)
-            wide_scores += lam.denominator * int(wf.vals.max()) >= 2 ** 62
+            wide_scores += lam.denominator * int(wf.lines.max()) >= 2 ** 62
             for current in (pos, off_grid(inst, rng), ProductPoint(r.x, pos.y)):
                 assert (wfa_minimizers(wf, current, r, lam)
                         == fraction_minimizers(wf, current, r, lam))

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from wfalab import cli, harness
+from wfalab import cli, harness, potential
 from wfalab.errors import AuditError, ConfigError
 from wfalab.harness import (GENERATOR_KINDS, SUMMARY_COLUMNS,
                             TRIAL_SEED_STRIDE, ExperimentConfig,
@@ -327,3 +327,23 @@ def test_run_errors_name_their_trial(tmp_path, monkeypatch):
     assert str(info.value) == (f"{cfg.generator.label} seed {trial_seed(9, 0)} "
                                f"{alg.label}: midpoint refinement improved min F")
     assert isinstance(info.value.__cause__, AuditError)
+
+
+def test_step_errors_name_their_trial_and_step(tmp_path, monkeypatch):
+    verify_step = potential.verify_step
+
+    def failing_verify(before, after, r, *args, **kwargs):
+        if before.i == 2:
+            raise AuditError("midpoint refinement improved min F")
+        return verify_step(before, after, r, *args, **kwargs)
+
+    monkeypatch.setattr(potential, "verify_step", failing_verify)
+    cfg = small_experiment(algorithms=[{"kind": "wfa", "lambda": "1/2"}])
+    with pytest.raises(AuditError) as info:
+        run_experiment(cfg, out_dir=tmp_path)
+    alg = cfg.algorithms[0]
+    assert str(info.value) == (f"{cfg.generator.label} seed {trial_seed(9, 0)} "
+                               f"{alg.label}: step 2: midpoint refinement "
+                               f"improved min F")
+    assert str(info.value.__cause__) == "step 2: midpoint refinement improved min F"
+    assert isinstance(info.value.__cause__.__cause__, AuditError)

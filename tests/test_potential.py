@@ -518,10 +518,12 @@ def test_candidates_are_the_sorted_request_lines(maker):
         assert position_points(wf, 1, _positions(wf, idx)) == want
 
 
-def fraction_samples(wf, r):
+def fraction_samples(wf, r, W=None):
     """The domination samples by their definition, in Fraction: grid points
     off the request in product_key order, each with the first of its two
-    projections onto the request that dominates it, until six."""
+    projections onto the request that dominates it, until six.  W gives the
+    work function's values at grid points (wf.evaluate unless given)."""
+    W = W or wf.evaluate
     samples = []
     two_candidate = True
     grid_pts = sorted((ProductPoint(x, y) for x in wf.grid.xs for y in wf.grid.ys),
@@ -530,7 +532,7 @@ def fraction_samples(wf, r):
         if serves(s, r):
             continue
         t = next((c for c in (ProductPoint(r.x, s.y), ProductPoint(s.x, r.y))
-                  if wf.dominates(c, s)), None)
+                  if W(s) == W(c) + wf.instance.distance(c, s)), None)
         if t is None:
             two_candidate = False
             continue
@@ -558,18 +560,25 @@ def test_domination_samples_match_the_fraction_loop(maker):
     for _ in range(3):
         for _, wf, r in steps(maker(rng, 8)):
             assert sample_points(wf) == fraction_samples(wf, r)
-            # One unit off an off-request value undoes its domination: at the
-            # first such cell two_candidate fails, at the last it only does
-            # when fewer than six samples come before it.
-            xr, yr = wf.grid.xs.index(r.x), wf.grid.ys.index(r.y)
-            off = [(a, b) for a in range(len(wf.grid.xs))
-                   for b in range(len(wf.grid.ys)) if a != xr and b != yr]
+            # One unit off an off-request value of the table the samples read
+            # undoes its domination: at the first such cell two_candidate
+            # fails, at the last it only does when fewer than six samples
+            # come before it.  The Fraction loop reads the same bent table.
+            xs, ys = wf.grid.xs, wf.grid.ys
+            xr, yr = xs.index(r.x), ys.index(r.y)
+            off = [(a, b) for a in range(len(xs))
+                   for b in range(len(ys)) if a != xr and b != yr]
             for cell in off[:1] + off[-1:]:
                 vals = wf.vals.copy()
                 vals[cell] -= 1
-                bent = dataclasses.replace(wf, vals=vals)
+                bent = dataclasses.replace(wf)
+                bent.__dict__["vals"] = vals  # the cached_property's slot
+
+                def W(p):
+                    return Fraction(int(vals[xs.index(p.x), ys.index(p.y)]), wf.scale)
+
                 got = sample_points(bent)
-                assert got == fraction_samples(bent, r)
+                assert got == fraction_samples(bent, r, W)
                 broken += not got[1]
     assert broken
 
@@ -604,7 +613,7 @@ def test_rescaled_equals_the_replayed_work_function(maker):
         assert got.scale == replay.scale != before.scale
         assert (got.instance, got.i, got.grid, got.last_request) == (
             replay.instance, replay.i, replay.grid, replay.last_request)
-        for a, b in ((got.vals, replay.vals), (got.gx, replay.gx),
+        for a, b in ((got.lines, replay.lines), (got.gx, replay.gx),
                      (got.gy, replay.gy)):
             assert a.dtype == b.dtype and np.array_equal(a, b)
         for kit, ref in zip(got.kits, replay.kits):

@@ -99,7 +99,8 @@ def test_update_monotone_and_serving_points_fixed():
                                    weighted_instance])
 def test_update_matches_the_serving_recurrence(maker):
     """Every new grid value is min over the grid points t on the request's
-    lines of W_before(t) + d(t, s), recomputed in Fractions."""
+    lines of W_before(t) + d(t, s), recomputed in Fractions; so is the grid
+    table derived from the anchors, and the optimum is its least value."""
     rng = random.Random(41)
     inst = maker(rng, 5)
     wf = initial(inst)
@@ -110,28 +111,44 @@ def test_update_matches_the_serving_recurrence(maker):
         assert (list(nxt.gx), list(nxt.gy)) == (list(kx.pos(nxt.grid.xs)),
                                                  list(ky.pos(nxt.grid.ys)))
         serving = grid_points_on(nxt.grid, r)
+        wants = []
         for s in grid_points(nxt):
             want = min(wf.evaluate(t) + inst.distance(t, s) for t in serving)
             assert nxt.evaluate(s) == want
+            wants.append(want)
+        table = [Fraction(int(v), nxt.scale) for v in nxt.vals.flat]
+        assert nxt.vals.shape == (len(nxt.grid.xs), len(nxt.grid.ys))
+        assert table == wants
+        assert nxt.opt_cost() == min(wants)
         wf = nxt
+
+
+def traced_update(wf, r):
+    """wf.update(r) and the peak bytes tracemalloc saw it hold."""
+    tracemalloc.start()
+    try:
+        done = wf.update(r)
+        return done, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def test_update_allocates_no_cubic_temporary():
     """A min over every serving candidate for every grid cell would hold
-    (|X| + |Y|) * |X| * |Y| int64s, about 27 MB on this 120 x 121 grid."""
+    (|X| + |Y|) * |X| * |Y| int64s, about 27 MB on this 120 x 121 grid.
+    With the previous anchors already built, the update holds no more than
+    W on the new lines and anchors-by-line tables: under one |X| * |Y|
+    int64 table (116 160 B here)."""
     inst = plane_instance(random.Random(43), 120, bound=1000)
     wf = initial(inst)
     for r in inst.requests[:-1]:
         wf = wf.update(r)
-    tracemalloc.start()
-    try:
-        done = wf.update(inst.requests[-1])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    nx, ny = done.vals.shape
+    done, peak = traced_update(wf, inst.requests[-1])
+    nx, ny = len(done.grid.xs), len(done.grid.ys)
     cubic_bytes = (nx + ny) * nx * ny * 8
     assert peak < cubic_bytes / 8
+    _, peak = traced_update(wf, inst.requests[-1])
+    assert peak < nx * ny * 8
 
 
 def test_one_lipschitz_on_grid():
