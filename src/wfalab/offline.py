@@ -9,7 +9,9 @@ be cross-checked.
 
 Dense-grid maximizers for slack quantities sample a fine lattice in float64.
 They back tolerance-style comparisons (2^-5 and coarser), far above float
-noise; all exact claims are checked elsewhere in rational arithmetic.
+noise; all exact claims are checked elsewhere in rational arithmetic.  They
+read only the grid and the anchors of a work function, never its integer
+core, and build each lattice in whole numpy passes from integer numerators.
 """
 
 from __future__ import annotations
@@ -20,9 +22,9 @@ from typing import List, Tuple
 
 import numpy as np
 
-from .errors import SizeGuardError
+from .errors import ConfigError, SizeGuardError
 from .exact import frac
-from .metric import IndexPoint, ProductPoint, RealPoint
+from .metric import ProductPoint
 from .problem import Instance, RequestPoint, grid_after, grid_points_on
 from .workfn import WorkFunction, _param_value
 
@@ -99,14 +101,25 @@ def brute_force_opt(instance: Instance) -> Fraction:
 # -- dense float lattices --------------------------------------------------
 
 
-def _axis_samples(axis, coords, step: Fraction) -> list:
-    """Sample positions along one axis: a lattice for lines, everything for
-    finite spaces.  Returned as SpacePoints."""
+def _axis_samples(axis, coords: tuple, step: Fraction) -> np.ndarray:
+    """Sample positions along one axis: the float64 lattice lo + k*step over
+    [lo, hi] of a line's sorted coords, every index of a finite space.
+
+    Sample k is exactly (a + b*k) / den in integers.  Below 2**53 numpy turns
+    both into float64 exactly and the division rounds correctly, so each is
+    float(lo + k*step); past that, Python's int division is correctly
+    rounded too."""
     if axis.kind == "finite":
-        return [IndexPoint(j) for j in range(axis.size)]
-    lo, hi = min(c.value for c in coords), max(c.value for c in coords)
-    count = int((hi - lo) / step) if hi > lo else 0
-    return [RealPoint(lo + k * step) for k in range(count + 1)]
+        return np.arange(axis.size)
+    lo, hi = coords[0].value, coords[-1].value
+    count = (hi - lo) // step
+    a = lo.numerator * step.denominator
+    b = step.numerator * lo.denominator
+    den = lo.denominator * step.denominator
+    k = np.arange(count + 1)
+    if max(abs(a), abs(a + b * count), b, den) <= 2 ** 53:
+        return (a + b * k) / den
+    return ((a + b * k.astype(object)) / den).astype(np.float64)
 
 
 def _float_axis(axis) -> tuple:
@@ -126,16 +139,18 @@ def dense_slack_max(wf: WorkFunction, r_next: RequestPoint, lam,
     float minimum over wf.anchors; a sample s meets the points slack(s, r_next)
     compares: r_next's grid points (all on a finite axis) and those level with s."""
     lam = float(_param_value(lam))
+    step = frac(step)
+    if step <= 0:
+        raise ConfigError(f"lattice step must be positive, got {step}")
     inst = wf.instance
     ax, ay = inst._axes
     (cx, dx), (cy, dy) = _float_axis(ax), _float_axis(ay)
     if wf.i == 0:
         sx, sy = cx([inst.origin.x]), cy([inst.origin.y])
     else:
-        step = frac(step)
         r_prev = wf.last_request
-        ys = cy(_axis_samples(ay, list(wf.grid.ys), step))
-        xs = cx(_axis_samples(ax, list(wf.grid.xs), step))
+        ys = _axis_samples(ay, wf.grid.ys, step)
+        xs = _axis_samples(ax, wf.grid.xs, step)
         sx = np.concatenate([cx([r_prev.x]).repeat(len(ys)), xs])
         sy = np.concatenate([ys, cy([r_prev.y]).repeat(len(xs))])
     wv = np.array([float(v) for _, v in wf.anchors])[:, None]
@@ -145,12 +160,14 @@ def dense_slack_max(wf: WorkFunction, r_next: RequestPoint, lam,
     def work(x, y):
         return (wv + dx(wx, x) + dy(wy, y)).min(axis=0)
 
-    lines = grid_points_on(wf.grid, r_next, inst.space_x, inst.space_y, full_lines=True)
-    tx, ty = cx([t.x for t in lines]), cy([t.y for t in lines])
+    # r_next's lines at the grid's coordinates, every point of a finite axis.
+    lx = np.arange(ax.size) if ax.kind == "finite" else cx(wf.grid.xs)
+    ly = np.arange(ay.size) if ay.kind == "finite" else cy(wf.grid.ys)
     nx, ny = cx([r_next.x]), cy([r_next.y])
+    tx = np.concatenate([nx.repeat(len(ly)), lx])
+    ty = np.concatenate([ly, ny.repeat(len(lx))])
     best = (work(tx, ty)[:, None]
             + lam * (dx(tx[:, None], sx) + dy(ty[:, None], sy))).min(axis=0)
     best = np.minimum(best, work(nx.repeat(len(sy)), sy) + lam * dx(nx, sx))
     best = np.minimum(best, work(sx, ny.repeat(len(sx))) + lam * dy(ny, sy))
     return float((best - work(sx, sy)).max())
-

@@ -731,30 +731,45 @@ class LemmaReport:
         }
 
 
+# Off-line cells _domination_samples evaluates W at per _w_at call.
+_SAMPLE_BLOCK = 32
+
+
 def _domination_samples(wf: WorkFunction) -> tuple:
     """((s, t, d), two_candidate): the first six grid cells s off the last
     request's lines in product_key order, each with the first of its
     projections t = (r.x, s.y), (s.x, r.y) that dominates it, as (n, 2) grid
     index arrays, and d(s, t) at wf.scale; two_candidate is False when a
-    cell before the sixth sample has neither."""
+    cell before the sixth sample has neither.  W at t is read from
+    wf.lines; W off the lines is evaluated in row-major blocks of
+    _SAMPLE_BLOCK cells, up to the block holding the sixth sample."""
     kx, ky = wf.kits
-    xr, yr = wf.xr, wf.yr
+    xr, yr, ny = wf.xr, wf.yr, len(wf.gy)
     dx = kx.dists(wf.gx[xr:xr + 1], wf.gx)[0]
     dy = ky.dists(wf.gy[yr:yr + 1], wf.gy)[0]
-    v = wf.vals
-    # Row-major cell order is the grid points' product_key order, and cell
-    # (a, b) is dominated by (xr, b) or (a, yr) when W is its W plus d.
-    by_v = v == v[xr][None, :] + dx[:, None]
-    by_h = v == v[:, yr][:, None] + dy[None, :]
-    off = np.ones(v.shape, dtype=bool)
-    off[xr, :] = off[:, yr] = False
-    hits = np.flatnonzero(off & (by_v | by_h))[:6]
-    end = hits[-1] + 1 if len(hits) == 6 else v.size
-    two_candidate = not (off & ~by_v & ~by_h).flat[:end].any()
-    a, b = np.divmod(hits, v.shape[1])
-    vert = by_v[a, b]
+    # Row-major cell order is the grid points' product_key order.  Off-line
+    # cell k is (a, b) = (i + (i >= xr), j + (j >= yr)) for (i, j) =
+    # divmod(k, ny - 1), and it is dominated by (xr, b) or (a, yr) when W is
+    # their W plus d: lines[b] or lines[ny + i], in _line_cells order.
+    cells = (len(wf.gx) - 1) * (ny - 1)
+    found = []  # (a, b, dominated by (xr, b)) of each sample
+    two_candidate = True
+    for start in range(0, cells, _SAMPLE_BLOCK):
+        i, j = np.divmod(np.arange(start, min(start + _SAMPLE_BLOCK, cells)), ny - 1)
+        a, b = i + (i >= xr), j + (j >= yr)
+        W = wf._w_at(1, wf.gx[a], wf.gy[b])
+        by_v = W == wf.lines[b] + dx[a]
+        hit = by_v | (W == wf.lines[ny + i] + dy[b])
+        at = np.flatnonzero(hit)[:6 - len(found)]
+        found += zip(a[at].tolist(), b[at].tolist(), by_v[at].tolist())
+        end = at[-1] + 1 if len(found) == 6 else len(hit)
+        two_candidate = two_candidate and bool(hit[:end].all())
+        if len(found) == 6:
+            break
+    s = np.array(found, dtype=np.int64).reshape(-1, 3)
+    (a, b), vert = s[:, :2].T, s[:, 2] == 1
     t = np.stack([np.where(vert, xr, a), np.where(vert, b, yr)], axis=1)
-    return (np.stack([a, b], axis=1), t, np.where(vert, dx[a], dy[b])), two_candidate
+    return (s[:, :2], t, np.where(vert, dx[a], dy[b])), two_candidate
 
 
 def _dominate_checks(wf: WorkFunction, cfg: PotentialConfig,

@@ -190,6 +190,17 @@ def _added(points: tuple, pos: np.ndarray, p: SpacePoint, q) -> tuple:
     return points[:k] + (p,) + points[k:], np.concatenate([pos[:k], [q], pos[k:]]), k
 
 
+def _rescale(a: np.ndarray, ratio: Fraction, what: str) -> np.ndarray:
+    """a times ratio, exactly and below 2**62.  When both scales hold every
+    entry exactly, each is a multiple of ratio's denominator."""
+    q, rest = np.divmod(a, ratio.denominator)
+    if rest.any():
+        raise WfalabError(f"{what} are not exact at the new scale")
+    if int(np.abs(q).max()) * ratio.numerator >= 2 ** 62:
+        raise WfalabError(f"{what} overflow the integer kernel")
+    return q * ratio.numerator
+
+
 def _find(points: tuple, p: SpacePoint) -> Optional[int]:
     """Index of p among sorted grid coordinates (of one kind), None when it
     is not one."""
@@ -247,13 +258,6 @@ class WorkFunction:
         np.fill_diagonal(dominated, False)
         keep = ~dominated.any(axis=0)
         return cx[keep], cy[keep], av[keep]
-
-    @cached_property
-    def vals(self) -> np.ndarray:
-        """scale * W on the whole grid, vals[a, b] at (grid.xs[a], grid.ys[b]),
-        derived from the anchors; for the verifier's domination samples."""
-        nx, ny = len(self.gx), len(self.gy)
-        return self._w_at(1, np.repeat(self.gx, ny), np.tile(self.gy, nx)).reshape(nx, ny)
 
     @cached_property
     def anchor_points(self) -> Tuple[ProductPoint, ...]:
@@ -354,9 +358,10 @@ class WorkFunction:
         W after a request sequence depends on that sequence alone, so when
         instance has this one's spaces, origin and first i requests, its W
         after i requests is this one on the same grid.  Only the integer
-        scale differs: the values move to instance_scale(instance), and the
-        kits are rebuilt there as initial() builds them, so line positions
-        move with it while finite positions stay indices.
+        scale differs: the values and line positions move to
+        instance_scale(instance) by the integer ratio of the scales, finite
+        positions stay indices, and the kits are rebuilt there as initial()
+        builds them.
         """
         mine = self.instance
         prefix = (instance.space_x, instance.space_y, instance.origin,
@@ -367,19 +372,13 @@ class WorkFunction:
                 f"the instance does not share the first {self.i} requests")
         scale = instance_scale(instance)
         ratio = Fraction(scale, self.scale)
-        # Both scales hold every value exactly, so each value is a multiple
-        # of self.scale / gcd, the ratio's denominator.
-        lines, rest = np.divmod(self.lines, ratio.denominator)
-        if rest.any():
-            raise WfalabError("work-function values are not exact at the new scale")
-        if int(lines.max()) * ratio.numerator >= 2 ** 62:
-            raise WfalabError("work-function values overflow the integer kernel")
-        lines *= ratio.numerator
+        lines = _rescale(self.lines, ratio, "work-function values")
         ax, ay = instance._axes
         kx, ky = _AxisKit(ax, scale), _AxisKit(ay, scale)
+        gx, gy = (g if kit.kind == "finite" else _rescale(g, ratio, "grid positions")
+                  for kit, g in zip((kx, ky), (self.gx, self.gy)))
         return WorkFunction(instance, self.i, self.grid, self.last_request,
-                            lines, scale, (kx, ky), kx.pos(self.grid.xs),
-                            ky.pos(self.grid.ys), self.xr, self.yr)
+                            lines, scale, (kx, ky), gx, gy, self.xr, self.yr)
 
     # -- slack -------------------------------------------------------------
 

@@ -3,6 +3,8 @@
 import random
 from fractions import Fraction
 
+import numpy as np
+
 from wfalab import (Instance, ProductPoint, RealLine, RealPoint, RequestPoint,
                     Scaled, idx, pt, request)
 from wfalab.harness import uniform_metric
@@ -52,3 +54,10 @@ def wide_instance():
             request(Fraction(7000, 19), Fraction(1000, 23)),
             request(Fraction(1, 29), Fraction(3, 31)))
     return Instance(RealLine(), RealLine(), pt(0, 0), reqs)
+
+
+def grid_values(wf):
+    """scale * W on the whole grid, [a, b] at (grid.xs[a], grid.ys[b]),
+    derived from the anchors."""
+    nx, ny = len(wf.gx), len(wf.gy)
+    return wf._w_at(1, np.repeat(wf.gx, ny), np.tile(wf.gy, nx)).reshape(nx, ny)

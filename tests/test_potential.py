@@ -25,8 +25,9 @@ from wfalab.potential import (Boks, CnnPotential, GeneralPotential, Spheres,
 from wfalab.problem import grid_points_on, serves
 from wfalab.workfn import WorkFunction, _AxisKit
 
-from conftest import (finite_instance, mixed_instance, plane_instance,
-                      quarter, weighted_instance, wide_instance)
+from conftest import (finite_instance, grid_values, mixed_instance,
+                      plane_instance, quarter, weighted_instance,
+                      wide_instance)
 
 HALF = Fraction(1, 2)
 
@@ -569,10 +570,13 @@ def test_domination_samples_match_the_fraction_loop(maker):
             off = [(a, b) for a in range(len(xs))
                    for b in range(len(ys)) if a != xr and b != yr]
             for cell in off[:1] + off[-1:]:
-                vals = wf.vals.copy()
+                vals = grid_values(wf)
                 vals[cell] -= 1
                 bent = dataclasses.replace(wf)
-                bent.__dict__["vals"] = vals  # the cached_property's slot
+                # Off the lines the samples read W through _w_at, here at
+                # grid positions (m = 1).
+                bent.__dict__["_w_at"] = lambda m, X, Y: vals[
+                    wf.gx.searchsorted(X), wf.gy.searchsorted(Y)]
 
                 def W(p):
                     return Fraction(int(vals[xs.index(p.x), ys.index(p.y)]), wf.scale)
@@ -581,6 +585,19 @@ def test_domination_samples_match_the_fraction_loop(maker):
                 assert got == fraction_samples(bent, r, W)
                 broken += not got[1]
     assert broken
+
+
+def test_domination_samples_stop_at_the_sixth(monkeypatch):
+    """W off the request's lines is evaluated in blocks only up to the block
+    holding the sixth sample, not over the whole grid."""
+    wf = run_to_end(plane_instance(random.Random(82), 20))
+    cells = []
+    w_at = WorkFunction._w_at
+    monkeypatch.setattr(WorkFunction, "_w_at", lambda self, m, X, Y:
+                        cells.append(len(X)) or w_at(self, m, X, Y))
+    (s, _, _), _ = _domination_samples(wf)
+    assert len(s) == 6
+    assert sum(cells) < (len(wf.gx) - 1) * (len(wf.gy) - 1)
 
 
 def probe_instance(maker):
@@ -659,7 +676,9 @@ def test_probe_replays_no_updates(monkeypatch):
 def test_verified_plane_step_converts_no_points(monkeypatch):
     """A verified plane step (probe off) and the WFA argmin at the run's own
     position work on grid indices and positions: no point goes through
-    _AxisKit.pos and no Fraction WorkFunction.evaluate is made."""
+    _AxisKit.pos and no Fraction WorkFunction.evaluate is made.  With the
+    probe on, pos sees only the moved request's own coordinates, one at a
+    time, and never a grid."""
     inst = plane_instance(random.Random(81), 6)
     cfg = default_constants(HALF)
     todo = []
@@ -681,3 +700,12 @@ def test_verified_plane_step_converts_no_points(monkeypatch):
     # The counters see what does convert: an off-grid evaluate.
     after.evaluate(pt(Fraction(1, 3), Fraction(1, 5)))
     assert calls["evaluate"] == 1
+    seen = []
+    monkeypatch.setattr(_AxisKit, "pos", lambda self, points, _fn=_AxisKit.pos:
+                        seen.append(list(points)) or _fn(self, seen[-1]))
+    for before, after, r, nabla, _ in todo:
+        moved = {r.x, r.y, RealPoint(r.x.value + Fraction(1, 32)),
+                 RealPoint(r.y.value + Fraction(1, 32))}
+        seen.clear()
+        verify_step(before, after, r, cfg, HALF, probe=True, _nabla=nabla)
+        assert seen and all(len(p) == 1 and p[0] in moved for p in seen)

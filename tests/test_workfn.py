@@ -17,7 +17,7 @@ from wfalab.metric import IndexPoint, product_key
 from wfalab.offline import dense_slack_max
 from wfalab.problem import grid_after, grid_points_on
 
-from conftest import (finite_instance, plane_instance, quarter,
+from conftest import (finite_instance, grid_values, plane_instance, quarter,
                       weighted_instance, wide_instance)
 
 HALF = Fraction(1, 2)
@@ -116,8 +116,9 @@ def test_update_matches_the_serving_recurrence(maker):
             want = min(wf.evaluate(t) + inst.distance(t, s) for t in serving)
             assert nxt.evaluate(s) == want
             wants.append(want)
-        table = [Fraction(int(v), nxt.scale) for v in nxt.vals.flat]
-        assert nxt.vals.shape == (len(nxt.grid.xs), len(nxt.grid.ys))
+        vals = grid_values(nxt)
+        table = [Fraction(int(v), nxt.scale) for v in vals.flat]
+        assert vals.shape == (len(nxt.grid.xs), len(nxt.grid.ys))
         assert table == wants
         assert nxt.opt_cost() == min(wants)
         wf = nxt
