@@ -19,14 +19,15 @@ from .metric import (FiniteMatrix, IndexPoint, ProductPoint, RealLine,
                      point_key, point_to_json, product_distance, product_key,
                      pt, real, resolve)
 from .pl1d import PL1D, cone, cone_envelope, max_difference, pointwise_min
-from .potential import (Boks,CheckResult, CnnPotential, GeneralPotential,
+from .potential import (Boks, CheckResult, CnnPotential, GeneralPotential,
                         LemmaReport, PotentialConfig, Spheres, config_from_json,
                         config_to_json, default_constants, f_value, g_value,
-                        h_value, min_f, min_g, min_h, phi, region_membership,
-                        region_slack, verify_step)
+                        h_value, min_f, min_g, min_h, phi, potential_for,
+                        potential_from_json, region_membership, region_slack,
+                        verify_step)
 from .problem import (Grid, Instance, RequestPoint, grid_after,
                       grid_points_on, request, serves)
-from .workfn import SlackParam, WorkFunction, initial, instance_scale
+from .workfn import WorkFunction, initial, instance_scale
 
 __version__ = "0.1.0"
 
@@ -37,13 +38,14 @@ __all__ = [
     "InvalidMetricError", "LemmaReport", "PL1D", "PotentialConfig",
     "ProductPoint", "RealLine", "RealPoint", "RegionSpaceError",
     "RequestIndexError", "RequestPoint", "RunTrace", "Scaled",
-    "SizeGuardError", "SlackParam", "SpaceMismatchError", "Spheres",
+    "SizeGuardError", "SpaceMismatchError", "Spheres",
     "StepRecord", "UnboundedDifferenceError", "WfalabError", "WorkFunction",
     "common_denominator", "cone", "cone_envelope", "config_from_json",
     "config_to_json", "default_constants", "distance", "f_value", "frac",
     "g_value", "greedy_step", "grid_after", "grid_points_on", "h_value", "idx",
     "initial", "instance_scale", "max_difference", "min_f", "min_g", "min_h",
     "phi", "point_from_json", "point_key", "point_to_json", "pointwise_min",
+    "potential_for", "potential_from_json",
     "product_distance", "product_key", "pt", "real", "region_membership",
     "region_slack", "request", "resolve", "retrospective_step", "run",
     "scaled_int", "serves", "verify_step", "wfa_minimizers", "wfa_step",

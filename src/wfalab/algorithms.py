@@ -13,11 +13,11 @@ update), and optionally a lemma report from the potential verifier.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Tuple
 
-from . import potential
+from . import potential as _potential
 from .errors import ConfigError, WfalabError
 from .exact import frac
 from .metric import ProductPoint, product_key
@@ -68,9 +68,14 @@ def _argmin_candidates(wf_after: WorkFunction, a, b) -> np.ndarray:
     return np.stack([cx, cy], axis=1)
 
 
-def wfa_minimizers(wf_after: WorkFunction, current: ProductPoint,
-                   r: RequestPoint, lam) -> list:
-    """All points minimizing W(t) + lam*d(current, t), in candidate order.
+def _after_a_request(wf_after: WorkFunction) -> None:
+    if wf_after.last_request is None:
+        raise ConfigError("the initial work function has no request to serve")
+
+
+def wfa_minimizers(wf_after: WorkFunction, current: ProductPoint, lam) -> list:
+    """All points minimizing W(t) + lam*d(current, t), in candidate order,
+    for the request wf_after was last updated with.
 
     The minimum over the whole space is attained on the request's lines
     (every point is dominated by one there), and along each line at a grid
@@ -80,8 +85,7 @@ def wfa_minimizers(wf_after: WorkFunction, current: ProductPoint,
     a finer one).
     """
     lam = _param_value(lam)
-    if r != wf_after.last_request:
-        raise ConfigError("wf_after must be the work function after r")
+    _after_a_request(wf_after)
     p, q = lam.numerator, lam.denominator
     m, cur, (a, b) = wf_after._locate(current)
     cands = _argmin_candidates(wf_after, a, b)
@@ -113,11 +117,10 @@ def wfa_minimizers(wf_after: WorkFunction, current: ProductPoint,
             for i, j in cands[hits].tolist()]
 
 
-def wfa_step(wf_after: WorkFunction, current: ProductPoint,
-             r: RequestPoint, lam) -> ProductPoint:
+def wfa_step(wf_after: WorkFunction, current: ProductPoint, lam) -> ProductPoint:
     """Move of the work-function rule; ties resolved by smallest move, then
     lexicographically."""
-    mins = wfa_minimizers(wf_after, current, r, lam)
+    mins = wfa_minimizers(wf_after, current, lam)
     inst = wf_after.instance
     return min(mins, key=lambda t: (inst.distance(current, t), product_key(t)))
 
@@ -132,12 +135,11 @@ def greedy_step(instance: Instance, current: ProductPoint,
     return move_y
 
 
-def retrospective_step(wf_after: WorkFunction, r: RequestPoint) -> ProductPoint:
-    """Grid point of the request minimizing the updated work function; of
-    several, the first in product_key order, which on the sorted grid is
+def retrospective_step(wf_after: WorkFunction) -> ProductPoint:
+    """Grid point of the last request minimizing the updated work function;
+    of several, the first in product_key order, which on the sorted grid is
     the first by (x index, y index)."""
-    if r != wf_after.last_request:
-        raise ConfigError("wf_after must be the work function after r")
+    _after_a_request(wf_after)
     cx, cy = wf_after._line_cells
     v = wf_after.lines
     best = v == v.min()
@@ -182,26 +184,19 @@ class RunTrace:
 
 
 def run(instance: Instance, config: AlgorithmConfig, verify: bool = False,
-        potential_config=None, *, audit: bool = False) -> RunTrace:
+        potential="cnn", *, audit: bool = False) -> RunTrace:
     """Drive one algorithm over the full request sequence.
 
     The extended cost of each step uses the accounting lambda: the
     algorithm's own for wfa, 1 for the others.  With verify=True each step
-    is also pushed through the potential verifier, which needs a potential
-    configuration (or a wfa lambda strictly below 1 to derive default
-    constants from).  A WfalabError raised at step j is re-raised as the
-    same class with its message prefixed "step j: ".
+    is also pushed through the potential verifier.  potential is a variant
+    name, whose default constants need a lambda strictly below 1, or a
+    config with the accounting lambda (potential.potential_for).  A
+    WfalabError raised at step j is re-raised as the same class with its
+    message prefixed "step j: ".
     """
     acct_lam = config.lam if config.kind == "wfa" else Fraction(1)
-
-    pcfg = potential_config
-    if verify and pcfg is None:
-        if acct_lam >= 1:
-            raise ConfigError(
-                "verification needs lambda < 1 (or an explicit potential config)")
-        pcfg = potential.default_constants(acct_lam)
-    if verify and pcfg is not None and pcfg.lam != acct_lam:
-        raise ConfigError("potential lambda must match the accounting lambda")
+    pcfg = _potential.potential_for(potential, acct_lam) if verify else None
 
     wf = initial(instance)
     pos = instance.origin
@@ -225,22 +220,22 @@ def run(instance: Instance, config: AlgorithmConfig, verify: bool = False,
 
             ties = 1
             if config.kind == "wfa":
-                mins = wfa_minimizers(wf_next, pos, r, config.lam)
+                mins = wfa_minimizers(wf_next, pos, config.lam)
                 ties = len(mins)
                 new_pos = min(mins, key=lambda t: (instance.distance(pos, t),
                                                    product_key(t)))
             elif config.kind == "greedy":
                 new_pos = greedy_step(instance, pos, r)
             else:
-                new_pos = retrospective_step(wf_next, r)
+                new_pos = retrospective_step(wf_next)
             if not serves(new_pos, r):
                 raise WfalabError(f"position {new_pos} does not serve {r}")
 
             report = None
             phi_before = phi_after = None
             if verify:
-                report = potential.verify_step(wf, wf_next, r, pcfg, acct_lam,
-                                               audit=audit, _nabla=nabla)
+                report = _potential.verify_step(wf, wf_next, pcfg, audit=audit,
+                                                _nabla=nabla)
                 phi_before = report.phi_before
                 phi_after = report.phi_after
                 lemma_failures += report.failures

@@ -16,7 +16,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Optional, Tuple
+from typing import Tuple, Union
 
 from .algorithms import AlgorithmConfig, RunTrace, StepRecord, run
 from .errors import ConfigError, WfalabError
@@ -24,7 +24,7 @@ from .exact import frac
 from .metric import (FiniteMatrix, ProductPoint, RealLine, Scaled, idx,
                      point_to_json, pt)
 from .offline import MAX_ORACLE_REQUESTS, brute_force_opt
-from .potential import (PotentialConfig, config_from_json, default_constants)
+from .potential import PotentialConfig, potential_for, potential_from_json
 from .problem import Instance, RequestPoint, request
 
 TRIAL_SEED_STRIDE = 1_000_003
@@ -204,8 +204,7 @@ class ExperimentConfig:
     seed: int
     verify: bool = False
     audit: bool = False
-    potential_variant: str = "cnn"
-    potential_config: Optional[PotentialConfig] = None
+    potential: Union[str, PotentialConfig] = "cnn"
     out_dir: str = "out"
 
     def __post_init__(self) -> None:
@@ -213,10 +212,14 @@ class ExperimentConfig:
             raise ConfigError(f"trials must be a nonnegative int, got {self.trials}")
         if not isinstance(self.seed, int) or self.seed < 0:
             raise ConfigError(f"seed must be a nonnegative int, got {self.seed}")
-        if self.potential_variant not in ("cnn", "general"):
-            raise ConfigError(
-                f"unknown potential variant {self.potential_variant!r}")
         object.__setattr__(self, "algorithms", tuple(self.algorithms))
+        # A batch that cannot be verified fails here, before any run.
+        for alg in self.algorithms if self.verify else ():
+            if alg.kind == "wfa":
+                try:
+                    potential_for(self.potential, alg.lam)
+                except ConfigError as exc:
+                    raise ConfigError(f"{alg.label}: {exc}") from exc
 
 
 def _algorithms_from_json(raw_list, lambdas) -> tuple:
@@ -244,20 +247,6 @@ def _algorithms_from_json(raw_list, lambdas) -> tuple:
     return tuple(out)
 
 
-def _potential_from_json(raw) -> tuple:
-    if raw is None or raw == "default" or raw == "cnn":
-        return "cnn", None
-    if raw == "general":
-        return "general", None
-    if isinstance(raw, dict):
-        variant = raw.get("variant", "cnn")
-        if set(raw) <= {"variant"}:
-            return variant, None
-        cfg = config_from_json(raw)
-        return variant, cfg
-    raise ConfigError(f"bad potential field {raw!r}")
-
-
 def experiment_from_json(raw: dict) -> ExperimentConfig:
     if not isinstance(raw, dict):
         raise ConfigError("experiment config must be a JSON object")
@@ -266,7 +255,6 @@ def experiment_from_json(raw: dict) -> ExperimentConfig:
     gen = generator_from_json(raw["generator"])
     lambdas = tuple(frac(v) for v in raw.get("lambdas", ()))
     algorithms = _algorithms_from_json(raw.get("algorithms", ()), lambdas)
-    variant, pot_cfg = _potential_from_json(raw.get("potential"))
     return ExperimentConfig(
         generator=gen,
         algorithms=algorithms,
@@ -274,8 +262,7 @@ def experiment_from_json(raw: dict) -> ExperimentConfig:
         seed=int(raw.get("seed", 0)),
         verify=bool(raw.get("verify", False)),
         audit=bool(raw.get("audit", False)),
-        potential_variant=variant,
-        potential_config=pot_cfg,
+        potential=potential_from_json(raw.get("potential")),
         out_dir=str(raw.get("outDir", "out")),
     )
 
@@ -303,11 +290,8 @@ def _approx(v) -> str:
     return "" if v is None else f"{float(v):.12g}"
 
 
-def _request_json(r: RequestPoint) -> dict:
-    return {"x": point_to_json(r.x), "y": point_to_json(r.y)}
-
-
-def _point_json(p: ProductPoint) -> dict:
+def _point_json(p) -> dict:
+    """A product point or a request, by its two coordinates."""
     return {"x": point_to_json(p.x), "y": point_to_json(p.y)}
 
 
@@ -315,7 +299,7 @@ def _step_json(rec: StepRecord) -> dict:
     out = {
         "kind": "step",
         "index": rec.index,
-        "request": _request_json(rec.request),
+        "request": _point_json(rec.request),
         "before": _point_json(rec.position_before),
         "after": _point_json(rec.position_after),
         "move": str(rec.move_cost),
@@ -379,13 +363,8 @@ def _worker(task) -> tuple:
     alg = config.algorithms[alg_index]
     inst = generate(config.generator, config.seed, trial)
     verify = config.verify and alg.kind == "wfa"
-    pcfg = None
-    if verify:
-        pcfg = config.potential_config
-        if pcfg is None:
-            pcfg = default_constants(alg.lam, config.potential_variant)
     try:
-        trace = run(inst, alg, verify=verify, potential_config=pcfg,
+        trace = run(inst, alg, verify=verify, potential=config.potential,
                     audit=config.audit and verify)
     except WfalabError as exc:
         # Name the trial, so the error replays from the batch alone.

@@ -59,19 +59,51 @@ HALF = Fraction(1, 2)
 # Configurations
 
 
+class PotentialConfig:
+    """What the two variants' constants share: every field a Fraction, and
+    the derived tables and hash computed once per config (the methods hand
+    out copies; the kernels' caches key on configs, and Fraction hashes are
+    slow).  VARIANTS maps each variant's name to its dataclass."""
+
+    def __post_init__(self) -> None:
+        for f in dataclasses.fields(self):
+            object.__setattr__(self, f.name, frac(getattr(self, f.name)))
+        self._check()
+
+    @property
+    def variant(self) -> str:
+        return next(name for name, cls in VARIANTS.items() if type(self) is cls)
+
+    @property
+    def triple_param(self) -> Fraction:
+        return self.lam
+
+    def constants(self) -> dict:
+        return dict(self._constants)
+
+    def dominate_bounds(self) -> dict:
+        """Per-slot lower-bound coefficients for replacing a dominated point."""
+        return dict(self._bounds)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash(tuple(getattr(self, f.name) for f in dataclasses.fields(self)))
+
+
 @dataclass(frozen=True)
-class CnnPotential:
+class CnnPotential(PotentialConfig):
     """Plane-variant constants: one slack coefficient and the F/G mix."""
 
     lam: Fraction
     alpha: Fraction
     gamma: Fraction
 
-    variant = "cnn"
+    __hash__ = PotentialConfig.__hash__
 
-    def __post_init__(self) -> None:
-        for name in ("lam", "alpha", "gamma"):
-            object.__setattr__(self, name, frac(getattr(self, name)))
+    def _check(self) -> None:
         if not (0 < self.lam < 1):
             raise ConfigError(f"lambda must lie in (0, 1), got {self.lam}")
         if not (0 < self.alpha < HALF):
@@ -85,6 +117,12 @@ class CnnPotential:
         if not (0 < self.gamma < 1):
             raise ConfigError(f"gamma must lie in (0, 1), got {self.gamma}")
 
+    @classmethod
+    def default(cls, lam: Fraction) -> "CnnPotential":
+        draft = cls(lam, (1 - lam) / (12 + 4 * lam), HALF)
+        c = draft.constants()
+        return dataclasses.replace(draft, gamma=c["c2"] / (c["c2"] + c["c4"]))
+
     @property
     def coeff(self) -> Fraction:
         return self.alpha
@@ -97,28 +135,8 @@ class CnnPotential:
     def pair_param(self) -> Fraction:
         return self.lam
 
-    @property
-    def triple_param(self) -> Fraction:
-        return self.lam
-
     def region(self, s1: ProductPoint, s2: ProductPoint) -> "Boks":
         return Boks(s1, s2)
-
-    def constants(self) -> dict:
-        return dict(self._constants)
-
-    def dominate_bounds(self) -> dict:
-        """Per-slot lower-bound coefficients for replacing a dominated point."""
-        return dict(self._bounds)
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    # Derived once per config; the methods above hand out copies.  The
-    # kernels' caches key on configs, and Fraction hashes are slow.
-    @cached_property
-    def _hash(self) -> int:
-        return hash((self.lam, self.alpha, self.gamma))
 
     @cached_property
     def _constants(self) -> dict:
@@ -141,7 +159,7 @@ class CnnPotential:
 
 
 @dataclass(frozen=True)
-class GeneralPotential:
+class GeneralPotential(PotentialConfig):
     """Arbitrary-space constants: dual slack parameters and ball regions."""
 
     lam: Fraction
@@ -150,11 +168,9 @@ class GeneralPotential:
     beta: Fraction
     kappa: Fraction
 
-    variant = "general"
+    __hash__ = PotentialConfig.__hash__
 
-    def __post_init__(self) -> None:
-        for name in ("lam", "mu", "eta", "beta", "kappa"):
-            object.__setattr__(self, name, frac(getattr(self, name)))
+    def _check(self) -> None:
         if not (0 < self.lam < self.mu < 1):
             raise ConfigError(
                 f"need 0 < lambda < mu < 1, got lambda={self.lam}, mu={self.mu}")
@@ -173,6 +189,18 @@ class GeneralPotential:
         if self._constants["c3"] <= 0:
             raise ConfigError(f"beta={self.beta} too large for a positive c3")
 
+    @classmethod
+    def default(cls, lam: Fraction) -> "GeneralPotential":
+        mu = (1 + lam) / 2
+        eta = Fraction(math.ceil((1 + mu) / (mu - lam)) + 1)
+        cap = min((1 - mu) / (2 * (1 + lam)),
+                  (1 - mu) / (2 * eta * (1 + lam)),
+                  (1 - mu) / (2 * (eta + 1) * (1 + lam)),
+                  HALF)
+        draft = cls(lam, mu, eta, cap / 2, HALF)
+        c = draft.constants()
+        return dataclasses.replace(draft, kappa=c["c2"] / (c["c2"] + c["c4"]))
+
     @property
     def coeff(self) -> Fraction:
         return self.beta
@@ -185,26 +213,8 @@ class GeneralPotential:
     def pair_param(self) -> Fraction:
         return self.mu
 
-    @property
-    def triple_param(self) -> Fraction:
-        return self.lam
-
     def region(self, s1: ProductPoint, s2: ProductPoint) -> "Spheres":
         return Spheres(s1, s2, self.eta)
-
-    def constants(self) -> dict:
-        return dict(self._constants)
-
-    def dominate_bounds(self) -> dict:
-        return dict(self._bounds)
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    # Derived once per config, as for CnnPotential.
-    @cached_property
-    def _hash(self) -> int:
-        return hash((self.lam, self.mu, self.eta, self.beta, self.kappa))
 
     @cached_property
     def _constants(self) -> dict:
@@ -231,7 +241,18 @@ class GeneralPotential:
                 "f": HALF * (1 - mu) - (eta + 1) * b * (1 + lam)}
 
 
-PotentialConfig = Union[CnnPotential, GeneralPotential]
+VARIANTS = {"cnn": CnnPotential, "general": GeneralPotential}
+
+
+def _variant(name) -> type:
+    cls = VARIANTS.get(name) if isinstance(name, str) else None
+    if cls is None:
+        raise ConfigError(f"unknown potential variant {name!r}")
+    return cls
+
+
+def _json_key(field: str) -> str:
+    return "lambda" if field == "lam" else field
 
 
 def default_constants(lam, variant: str = "cnn") -> PotentialConfig:
@@ -240,45 +261,49 @@ def default_constants(lam, variant: str = "cnn") -> PotentialConfig:
     lam = frac(lam)
     if not (0 < lam < 1):
         raise ConfigError(f"lambda must lie in (0, 1), got {lam}")
-    if variant == "cnn":
-        alpha = (1 - lam) / (12 + 4 * lam)
-        draft = CnnPotential(lam, alpha, HALF)
-        c = draft.constants()
-        return dataclasses.replace(draft, gamma=c["c2"] / (c["c2"] + c["c4"]))
-    if variant == "general":
-        mu = (1 + lam) / 2
-        eta = Fraction(math.ceil((1 + mu) / (mu - lam)) + 1)
-        cap = min((1 - mu) / (2 * (1 + lam)),
-                  (1 - mu) / (2 * eta * (1 + lam)),
-                  (1 - mu) / (2 * (eta + 1) * (1 + lam)),
-                  HALF)
-        draft = GeneralPotential(lam, mu, eta, cap / 2, HALF)
-        c = draft.constants()
-        return dataclasses.replace(draft, kappa=c["c2"] / (c["c2"] + c["c4"]))
-    raise ConfigError(f"unknown potential variant {variant!r}")
+    return _variant(variant).default(lam)
+
+
+def potential_for(spec, lam) -> PotentialConfig:
+    """The constants that verify a run at lam: spec itself when it is a
+    config (for that lambda), else default_constants(lam, spec)."""
+    lam = frac(lam)
+    if not isinstance(spec, PotentialConfig):
+        return default_constants(lam, spec)
+    if spec.lam != lam:
+        raise ConfigError(f"potential lambda {spec.lam} must match the "
+                          f"accounting lambda {lam}")
+    return spec
 
 
 def config_to_json(cfg: PotentialConfig) -> dict:
-    if isinstance(cfg, CnnPotential):
-        return {"variant": "cnn", "lambda": str(cfg.lam),
-                "alpha": str(cfg.alpha), "gamma": str(cfg.gamma)}
-    return {"variant": "general", "lambda": str(cfg.lam), "mu": str(cfg.mu),
-            "eta": str(cfg.eta), "beta": str(cfg.beta), "kappa": str(cfg.kappa)}
+    return {"variant": cfg.variant,
+            **{_json_key(f.name): str(getattr(cfg, f.name))
+               for f in dataclasses.fields(cfg)}}
 
 
 def config_from_json(raw: dict) -> PotentialConfig:
+    cls = _variant(raw.get("variant", "cnn"))
     try:
-        variant = raw.get("variant", "cnn")
-        if variant == "cnn":
-            return CnnPotential(frac(raw["lambda"]), frac(raw["alpha"]),
-                                frac(raw["gamma"]))
-        if variant == "general":
-            return GeneralPotential(frac(raw["lambda"]), frac(raw["mu"]),
-                                    frac(raw["eta"]), frac(raw["beta"]),
-                                    frac(raw["kappa"]))
+        return cls(**{f.name: raw[_json_key(f.name)] for f in dataclasses.fields(cls)})
     except KeyError as exc:
         raise ConfigError(f"potential config is missing field {exc}") from None
-    raise ConfigError(f"unknown potential variant {variant!r}")
+
+
+def potential_from_json(raw) -> Union[str, PotentialConfig]:
+    """A batch config's potential field: a variant name ("default" and an
+    absent field are "cnn"), an object holding only a variant, or a full
+    constants object as config_to_json writes it."""
+    if raw is None or raw == "default":
+        return "cnn"
+    if isinstance(raw, dict) and set(raw) <= {"variant"}:
+        raw = raw.get("variant", "cnn")
+    if isinstance(raw, str):
+        _variant(raw)
+        return raw
+    if isinstance(raw, dict):
+        return config_from_json(raw)
+    raise ConfigError(f"bad potential field {raw!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -514,7 +539,7 @@ class _Frame:
         self.pn, self.pd = cfg.pair_param.numerator, cfg.pair_param.denominator
         self.ln, self.ld = cfg.triple_param.numerator, cfg.triple_param.denominator
         self.cn, self.cd = cfg.coeff.numerator, cfg.coeff.denominator
-        self.boks = cfg.variant == "cnn"
+        self.boks = isinstance(cfg, CnnPotential)
         self.en, self.ed = (0, 1) if self.boks else (cfg.eta.numerator,
                                                      cfg.eta.denominator)
         # HT[i, j]: H(i, j).  SLT[i, m]: slack of m against i alone.
@@ -902,10 +927,10 @@ def _refined_candidates(wf: WorkFunction) -> np.ndarray:
     return _cross(xs, a, ys, b)
 
 
-def _dense_line_points(wf: WorkFunction, r: RequestPoint,
-                       around: ProductPoint) -> list:
-    """Step-1/16 sweeps of both request lines, windowed near the given point
-    when the grid hull is wide."""
+def _dense_line_points(wf: WorkFunction, around: ProductPoint) -> list:
+    """Step-1/16 sweeps of both lines of the last request, windowed near
+    the given point when the grid hull is wide."""
+    r = wf.last_request
     ax, ay = wf.instance._axes
     step = Fraction(1, 16)
     out = []
@@ -931,8 +956,8 @@ def _dense_line_points(wf: WorkFunction, r: RequestPoint,
     return out
 
 
-def _audit(wf_after: WorkFunction, r_next: RequestPoint, cfg: PotentialConfig,
-           mf: Fraction, tf: tuple, mg: Fraction, tg: tuple) -> CheckResult:
+def _audit(wf_after: WorkFunction, cfg: PotentialConfig, mf: Fraction,
+           tf: tuple, mg: Fraction, tg: tuple) -> CheckResult:
     """Refine the candidate set and assert the base minima survive.
 
     Midpoints refine everywhere; a full-grid pass covers off-request triples
@@ -962,7 +987,7 @@ def _audit(wf_after: WorkFunction, r_next: RequestPoint, cfg: PotentialConfig,
     for label, triple, base, fun in (("F", tf, mf, f_value),
                                      ("G", tg, mg, g_value)):
         for slot in range(3):
-            for p in _dense_line_points(wf_after, r_next, triple[slot]):
+            for p in _dense_line_points(wf_after, triple[slot]):
                 varied = list(triple)
                 varied[slot] = p
                 val = fun(wf_after, varied[0], varied[1], varied[2], cfg)
@@ -976,22 +1001,20 @@ def _audit(wf_after: WorkFunction, r_next: RequestPoint, cfg: PotentialConfig,
 
 
 def verify_step(wf_before: WorkFunction, wf_after: WorkFunction,
-                r_next: RequestPoint, cfg: PotentialConfig, lam, *,
-                probe: bool = True, audit: bool = False,
+                cfg: PotentialConfig, *, audit: bool = False,
                 _nabla: Optional[Fraction] = None) -> LemmaReport:
     """Machine-check the per-step inequalities for one request transition.
 
-    wf_before and wf_after are the work functions around the update with
-    r_next.  All checks are exact; advisory entries (the Lipschitz probe) are
-    recorded but never counted as failures.
+    wf_after is wf_before updated with its next request, r_next; the
+    accounting lambda is the potential's own.  All checks are exact;
+    advisory entries (the Lipschitz probe) are recorded but never counted as
+    failures.
     """
-    lam = _param_value(lam)
-    if cfg.triple_param != lam:
-        raise ConfigError("the potential's lambda must match the accounting lambda")
     inst = wf_before.instance
-    if wf_after.instance != inst or wf_after.i != wf_before.i + 1 \
-            or wf_after.last_request != r_next:
-        raise ConfigError("wf_after must be wf_before updated with r_next")
+    if wf_after.instance != inst or wf_after.i != wf_before.i + 1:
+        raise ConfigError("wf_after must be wf_before updated with one request")
+    r_next = wf_after.last_request
+    lam = cfg.triple_param
 
     origin = inst.origin
     r_prev = wf_before.last_request
@@ -1077,12 +1100,11 @@ def verify_step(wf_before: WorkFunction, wf_after: WorkFunction,
                                   note="aligned G minimizer admits a pair "
                                        "with H at most min G"))
 
-    if probe:
-        checks.extend(_lipschitz_probe(wf_before, r_next, cfg, lam, nabla,
-                                       mg2, swapped))
+    checks.extend(_lipschitz_probe(wf_before, r_next, cfg, lam, nabla, mg2,
+                                   swapped))
 
     if audit:
-        checks.append(_audit(wf_after, r_next, cfg, mf2, tf2, mg2, tg2))
+        checks.append(_audit(wf_after, cfg, mf2, tf2, mg2, tg2))
 
     return LemmaReport(wf_before.i, case, nabla, dmax, dmin, swapped,
                        phi1, phi2, ratio, tuple(checks),

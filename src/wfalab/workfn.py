@@ -64,20 +64,8 @@ from .metric import (IndexPoint, ProductPoint, RealPoint, ResolvedAxis,
 from .problem import Grid, Instance, RequestPoint, grid_after, grid_points_on
 
 
-@dataclass(frozen=True)
-class SlackParam:
-    """A slack coefficient in (0, 1)."""
-
-    value: Fraction
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "value", frac(self.value))
-        if not (0 < self.value < 1):
-            raise ConfigError(f"slack parameter must lie in (0, 1), got {self.value}")
-
-
 def _param_value(param) -> Fraction:
-    value = param.value if isinstance(param, SlackParam) else frac(param)
+    value = frac(param)
     if not (0 < value <= 1):
         raise ConfigError(f"slack coefficient must lie in (0, 1], got {value}")
     return value

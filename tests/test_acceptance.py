@@ -173,7 +173,7 @@ def _verified_batch(instances, variant):
         lam = LAMBDAS[i % len(LAMBDAS)]
         cfg = default_constants(lam, variant)
         trace = run(inst, AlgorithmConfig("wfa", lam), verify=True,
-                    potential_config=cfg)
+                    potential=cfg)
         _record(trace)
         ok = ok and trace.lemma_failures == 0
         ok = ok and trace.phi_final is not None

@@ -6,8 +6,9 @@ from fractions import Fraction
 import pytest
 
 from wfalab import (AlgorithmConfig, ConfigError, Instance, ProductPoint,
-                    RealLine, greedy_step, initial, pt, request,
-                    retrospective_step, run, serves, wfa_minimizers, wfa_step)
+                    RealLine, default_constants, greedy_step, initial, pt,
+                    request, retrospective_step, run, serves, verify_step,
+                    wfa_minimizers, wfa_step)
 from wfalab.harness import example_trace
 from wfalab.metric import IndexPoint, RealPoint, product_key
 from wfalab.problem import grid_points_on
@@ -42,15 +43,13 @@ def test_config_validation():
 
 
 def test_wfa_step_prefers_small_moves_then_lex():
-    inst, wf = single_request_wf(1, 1)
-    mins = wfa_minimizers(wf, pt(0, 0), inst.requests[0], 1)
+    _, wf = single_request_wf(1, 1)
+    mins = wfa_minimizers(wf, pt(0, 0), 1)
     assert set(mins) == {pt(1, 0), pt(0, 1)}
-    assert wfa_step(wf, pt(0, 0), inst.requests[0], 1) == pt(0, 1)
-    mins = wfa_minimizers(wf, pt(1, 2), inst.requests[0], 1)
+    assert wfa_step(wf, pt(0, 0), 1) == pt(0, 1)
+    mins = wfa_minimizers(wf, pt(1, 2), 1)
     assert pt(1, 2) in mins and len(mins) == 4
-    assert wfa_step(wf, pt(1, 2), inst.requests[0], 1) == pt(1, 2)
-    with pytest.raises(ConfigError):
-        wfa_minimizers(wf, pt(0, 0), request(0, 1), 1)
+    assert wfa_step(wf, pt(1, 2), 1) == pt(1, 2)
 
 
 def test_greedy_tie_keeps_x_projection():
@@ -60,10 +59,24 @@ def test_greedy_tie_keeps_x_projection():
 
 
 def test_retrospective_breaks_ties_lexicographically():
+    _, wf = single_request_wf(1, 1)
+    assert retrospective_step(wf) == pt(0, 1)
+
+
+def test_step_functions_refuse_the_initial_work_function():
+    """The moves and the verifier read the request from the work function
+    after it; the initial one has none."""
     inst, wf = single_request_wf(1, 1)
-    assert retrospective_step(wf, inst.requests[0]) == pt(0, 1)
+    start = initial(inst)
     with pytest.raises(ConfigError):
-        retrospective_step(wf, request(0, 1))
+        wfa_minimizers(start, pt(0, 0), HALF)
+    with pytest.raises(ConfigError):
+        wfa_step(start, pt(0, 0), HALF)
+    with pytest.raises(ConfigError):
+        retrospective_step(start)
+    with pytest.raises(ConfigError):
+        verify_step(start, start, default_constants(HALF))
+    assert verify_step(start, wf, default_constants(HALF)).failures == 0
 
 
 def test_straight_line_family_at_lambda_one():
@@ -126,11 +139,11 @@ def test_verify_needs_a_sub_unit_lambda_or_explicit_config():
     inst = plane_instance(rng, 2)
     with pytest.raises(ConfigError):
         run(inst, AlgorithmConfig("wfa", 1), verify=True)
-    from wfalab.potential import default_constants
-
     with pytest.raises(ConfigError):
         run(inst, AlgorithmConfig("wfa", HALF), verify=True,
-            potential_config=default_constants(Fraction(1, 4)))
+            potential=default_constants(Fraction(1, 4)))
+    with pytest.raises(ConfigError):
+        run(inst, AlgorithmConfig("wfa", HALF), verify=True, potential="weird")
 
 
 def fraction_minimizers(wf_after, current, r, lam):
@@ -177,7 +190,7 @@ def test_retrospective_step_matches_the_fraction_scan(maker):
         cands = grid_points_on(wf.grid, r)
         best = min(wf.evaluate(t) for t in cands)
         want = min((t for t in cands if wf.evaluate(t) == best), key=product_key)
-        assert retrospective_step(wf, r) == want
+        assert retrospective_step(wf) == want
 
 
 @pytest.mark.parametrize("maker", ["plane", "weighted", "finite", "mixed",
@@ -201,7 +214,7 @@ def test_wfa_minimizers_match_the_fraction_scoring(maker):
             wf = wf.update(r)
             wide_scores += lam.denominator * int(wf.lines.max()) >= 2 ** 62
             for current in (pos, off_grid(inst, rng), ProductPoint(r.x, pos.y)):
-                assert (wfa_minimizers(wf, current, r, lam)
+                assert (wfa_minimizers(wf, current, lam)
                         == fraction_minimizers(wf, current, r, lam))
-            pos = wfa_step(wf, pos, r, lam)
+            pos = wfa_step(wf, pos, lam)
     assert bool(wide_scores) == (maker == "wider")

@@ -12,6 +12,8 @@ from pathlib import Path
 import pytest
 
 from wfalab import cli, harness, potential
+from wfalab.potential import (CnnPotential, config_to_json, default_constants,
+                              potential_for)
 from wfalab.errors import AuditError, ConfigError
 from wfalab.harness import (GENERATOR_KINDS, SUMMARY_COLUMNS,
                             TRIAL_SEED_STRIDE, ExperimentConfig,
@@ -148,8 +150,7 @@ def test_experiment_parsing_expands_lambdas():
     })
     labels = [a.label for a in cfg.algorithms]
     assert labels == ["wfa[1/4]", "wfa[1/2]", "greedy"]
-    assert cfg.potential_variant == "general"
-    assert cfg.potential_config is None
+    assert cfg.potential == "general"
 
 
 def test_experiment_parsing_rejects_bad_fields():
@@ -173,8 +174,70 @@ def test_experiment_parsing_accepts_explicit_potential():
         "potential": {"variant": "cnn", "lambda": "1/2",
                       "alpha": "1/30", "gamma": "1/100"},
     })
-    assert cfg.potential_config is not None
-    assert cfg.potential_config.alpha == Fraction(1, 30)
+    assert cfg.potential == CnnPotential(HALF, Fraction(1, 30), Fraction(1, 100))
+
+
+def test_potential_field_forms_resolve_to_their_constants():
+    """Each form of the batch potential field gives a verified wfa run the
+    constants it gave when the field was parsed into a variant and a
+    config: a variant's defaults at the run's lambda, or the object."""
+    cnn = {lam: default_constants(lam) for lam in (Fraction(1, 4), HALF)}
+    general = {lam: default_constants(lam, "general") for lam in cnn}
+    assert cnn[HALF] == CnnPotential(HALF, Fraction(1, 28), Fraction(1, 120))
+    assert general[HALF].kappa == Fraction(1, 872)
+    forms = [(None, cnn), ("default", cnn), ("cnn", cnn), ({}, cnn),
+             ({"variant": "cnn"}, cnn), ("general", general),
+             ({"variant": "general"}, general)]
+    base = {"generator": {"kind": "uniform_random", "n": 3},
+            "algorithms": ["wfa"], "lambdas": ["1/4", "1/2"], "verify": True}
+    for form, want in forms:
+        raw = base if form is None else {**base, "potential": form}
+        cfg = experiment_from_json(raw)
+        assert {a.lam: potential_for(cfg.potential, a.lam)
+                for a in cfg.algorithms} == want
+    for lam, explicit in ((HALF, cnn[HALF]), (HALF, general[HALF]),
+                          (Fraction(1, 4), general[Fraction(1, 4)])):
+        cfg = experiment_from_json({**base, "lambdas": [str(lam)],
+                                    "potential": config_to_json(explicit)})
+        assert cfg.potential == explicit
+        assert potential_for(cfg.potential, lam) is cfg.potential
+    for bad in ("banana", {"variant": "banana"}, {"variant": "cnn", "lambda": "1/2"},
+                ["cnn"]):
+        with pytest.raises(ConfigError):
+            experiment_from_json({**base, "potential": bad})
+
+
+UNVERIFIABLE = [
+    # Default constants need a lambda below 1.
+    {"lambdas": ["1/2", "1"]},
+    # An explicit potential verifies its own lambda only.
+    {"lambdas": ["1/2", "1/4"],
+     "potential": {"variant": "cnn", "lambda": "1/2", "alpha": "1/30",
+                   "gamma": "1/100"}},
+]
+
+
+@pytest.mark.parametrize("fields", UNVERIFIABLE)
+def test_unverifiable_batches_fail_at_load(tmp_path, fields):
+    """A verified batch whose potential cannot verify one of its wfa lambdas
+    is refused when it is loaded, naming the algorithm, and writes nothing;
+    `wfalab verify` refuses it too when the file itself does not verify."""
+    raw = {"generator": {"kind": "uniform_random", "n": 3},
+           "algorithms": ["wfa"], "trials": 2, "seed": 1, **fields}
+    plain = experiment_from_json(raw)
+    assert not plain.verify
+    with pytest.raises(ConfigError, match=r"^wfa\["):
+        experiment_from_json({**raw, "verify": True})
+    for command, verify in (("run", True), ("verify", False), ("verify", True)):
+        path = tmp_path / "batch.json"
+        path.write_text(json.dumps({**raw, "verify": verify}))
+        out = tmp_path / f"out-{command}-{verify}"
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            assert cli.main([command, "--config", str(path),
+                             "--out-dir", str(out)]) == 1
+        assert err.getvalue().startswith("config error: wfa[")
+        assert not out.exists()
 
 
 def test_zero_trials_writes_header_only(tmp_path):
@@ -332,10 +395,10 @@ def test_run_errors_name_their_trial(tmp_path, monkeypatch):
 def test_step_errors_name_their_trial_and_step(tmp_path, monkeypatch):
     verify_step = potential.verify_step
 
-    def failing_verify(before, after, r, *args, **kwargs):
+    def failing_verify(before, after, *args, **kwargs):
         if before.i == 2:
             raise AuditError("midpoint refinement improved min F")
-        return verify_step(before, after, r, *args, **kwargs)
+        return verify_step(before, after, *args, **kwargs)
 
     monkeypatch.setattr(potential, "verify_step", failing_verify)
     cfg = small_experiment(algorithms=[{"kind": "wfa", "lambda": "1/2"}])

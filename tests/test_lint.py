@@ -3,6 +3,8 @@
 import ast
 from pathlib import Path
 
+import wfalab
+
 SRC = Path(__file__).parent.parent / "src" / "wfalab"
 
 
@@ -46,3 +48,15 @@ def test_no_package_imports_inside_functions():
              for node in ast.walk(fn)
              if isinstance(node, ast.ImportFrom) and node.level > 0]
     assert not found, found
+
+
+def test_all_lists_exactly_the_public_imports():
+    """wfalab.__all__ and the imports of wfalab/__init__.py are both kept by
+    hand; a name added to or removed from one must be in step with the
+    other."""
+    tree = ast.parse((SRC / "__init__.py").read_text())
+    imported = [a.asname or a.name
+                for node in tree.body if isinstance(node, ast.ImportFrom)
+                for a in node.names if not (a.asname or a.name).startswith("_")]
+    assert len(wfalab.__all__) == len(set(wfalab.__all__))
+    assert sorted(wfalab.__all__) == sorted(imported)

@@ -386,7 +386,7 @@ def test_verify_step_all_green_on_plane():
         wf = initial(inst)
         for r in inst.requests:
             nxt = wf.update(r)
-            report = verify_step(wf, nxt, r, cfg, lam)
+            report = verify_step(wf, nxt, cfg)
             assert report.failures == 0
             assert report.case in ("A", "B")
             names = [c.name for c in report.checks]
@@ -404,7 +404,7 @@ def test_verify_step_report_shape():
     cfg = default_constants(HALF)
     wf = initial(inst)
     nxt = wf.update(inst.requests[0])
-    report = verify_step(wf, nxt, inst.requests[0], cfg, HALF)
+    report = verify_step(wf, nxt, cfg)
     payload = report.to_json()
     assert payload["step"] == 0
     assert payload["failures"] == 0
@@ -424,10 +424,11 @@ def test_verify_step_config_mismatches():
     wf = initial(inst)
     nxt = wf.update(inst.requests[0])
     with pytest.raises(ConfigError):
-        verify_step(wf, nxt, inst.requests[0], default_constants(Fraction(1, 4)),
-                    HALF)
+        verify_step(nxt, nxt, default_constants(HALF))
+    other = plane_instance(rng, 2)
     with pytest.raises(ConfigError):
-        verify_step(nxt, nxt, inst.requests[0], default_constants(HALF), HALF)
+        verify_step(wf, initial(other).update(other.requests[0]),
+                    default_constants(HALF))
 
 
 def test_verify_step_finite_general_and_convexity():
@@ -438,7 +439,7 @@ def test_verify_step_finite_general_and_convexity():
     saw_convexity = False
     for r in inst.requests:
         nxt = wf.update(r)
-        report = verify_step(wf, nxt, r, cfg, HALF)
+        report = verify_step(wf, nxt, cfg)
         assert report.failures == 0
         for c in report.checks:
             if c.name == "convex_containment":
@@ -454,12 +455,11 @@ def test_lipschitz_probe_is_advisory():
     cfg = default_constants(HALF)
     wf = initial(inst)
     nxt = wf.update(inst.requests[0])
-    report = verify_step(wf, nxt, inst.requests[0], cfg, HALF, probe=True)
-    probe_names = {c.name for c in report.checks if c.advisory}
-    assert probe_names <= {"lipschitz_nabla", "lipschitz_min_g", "lipschitz_probe"}
-    assert probe_names
-    quiet = verify_step(wf, nxt, inst.requests[0], cfg, HALF, probe=False)
-    assert not [c for c in quiet.checks if c.advisory]
+    report = verify_step(wf, nxt, cfg)
+    probe = [c for c in report.checks if c.advisory]
+    assert {c.name for c in probe} == {"lipschitz_nabla", "lipschitz_min_g"}
+    assert report.failures == sum(not c.holds for c in report.checks
+                                  if not c.advisory)
 
 
 def test_audit_passes_and_detects_false_minima():
@@ -469,7 +469,7 @@ def test_audit_passes_and_detects_false_minima():
     wf = initial(inst)
     for r in inst.requests:
         nxt = wf.update(r)
-        report = verify_step(wf, nxt, r, cfg, HALF, audit=True)
+        report = verify_step(wf, nxt, cfg, audit=True)
         assert report.failures == 0
         assert any(c.name == "audit_no_improvement" and c.holds
                    for c in report.checks)
@@ -477,17 +477,16 @@ def test_audit_passes_and_detects_false_minima():
     vf, tf = min_f(wf, cfg)
     vg, tg = min_g(wf, cfg)
     with pytest.raises(AuditError):
-        _audit(wf, inst.requests[-1], cfg, vf + 1, tf, vg, tg)
+        _audit(wf, cfg, vf + 1, tf, vg, tg)
     with pytest.raises(AuditError):
-        _audit(wf, inst.requests[-1], cfg, vf, tf, vg + 1, tg)
+        _audit(wf, cfg, vf, tf, vg + 1, tg)
 
 
 def test_verified_runs_with_general_constants_on_weighted_lines():
     rng = random.Random(74)
     inst = weighted_instance(rng, 4)
     cfg = default_constants(HALF, "general")
-    trace = run(inst, AlgorithmConfig("wfa", HALF), verify=True,
-                potential_config=cfg)
+    trace = run(inst, AlgorithmConfig("wfa", HALF), verify=True, potential=cfg)
     assert trace.lemma_failures == 0
     assert trace.phi_final <= trace.opt_cost
 
@@ -667,45 +666,39 @@ def test_probe_replays_no_updates(monkeypatch):
     update = WorkFunction.update
     monkeypatch.setattr(WorkFunction, "update",
                         lambda self, q: calls.append(q) or update(self, q))
-    report = verify_step(before, after, r, default_constants(HALF), HALF,
-                         probe=True)
+    report = verify_step(before, after, default_constants(HALF))
     assert {"lipschitz_nabla", "lipschitz_min_g"} <= {c.name for c in report.checks}
     assert len(calls) == 1
 
 
 def test_verified_plane_step_converts_no_points(monkeypatch):
-    """A verified plane step (probe off) and the WFA argmin at the run's own
-    position work on grid indices and positions: no point goes through
-    _AxisKit.pos and no Fraction WorkFunction.evaluate is made.  With the
-    probe on, pos sees only the moved request's own coordinates, one at a
-    time, and never a grid."""
+    """A verified plane step and the WFA argmin at the run's own position
+    work on grid indices and positions: no Fraction WorkFunction.evaluate
+    is made, and _AxisKit.pos sees only the Lipschitz probe's moved request,
+    one coordinate at a time, never a grid."""
     inst = plane_instance(random.Random(81), 6)
     cfg = default_constants(HALF)
     todo = []
     pos = inst.origin
     for before, after, r in steps(inst):
         todo.append((before, after, r, before.extended_cost(r, HALF)[0], pos))
-        pos = wfa_step(after, pos, r, HALF)
+        pos = wfa_step(after, pos, HALF)
     calls = Counter()
-    for owner, name in ((_AxisKit, "pos"), (WorkFunction, "evaluate")):
-        def counted(*args, _name=name, _fn=getattr(owner, name)):
-            calls[_name] += 1
-            return _fn(*args)
-        monkeypatch.setattr(owner, name, counted)
+    seen = []
+    monkeypatch.setattr(_AxisKit, "pos", lambda self, points, _fn=_AxisKit.pos:
+                        seen.append(list(points)) or _fn(self, seen[-1]))
+    monkeypatch.setattr(WorkFunction, "evaluate",
+                        lambda *args, _fn=WorkFunction.evaluate:
+                        calls.update(["evaluate"]) or _fn(*args))
     for before, after, r, nabla, pos in todo:
-        report = verify_step(before, after, r, cfg, HALF, probe=False, _nabla=nabla)
+        moved = {r.x, r.y, RealPoint(r.x.value + Fraction(1, 32)),
+                 RealPoint(r.y.value + Fraction(1, 32))}
+        seen.clear()
+        report = verify_step(before, after, cfg, _nabla=nabla)
         assert report.failures == 0
-        assert wfa_minimizers(after, pos, r, HALF)
+        assert wfa_minimizers(after, pos, HALF)
+        assert seen and all(len(p) == 1 and p[0] in moved for p in seen)
     assert calls == Counter()
     # The counters see what does convert: an off-grid evaluate.
     after.evaluate(pt(Fraction(1, 3), Fraction(1, 5)))
     assert calls["evaluate"] == 1
-    seen = []
-    monkeypatch.setattr(_AxisKit, "pos", lambda self, points, _fn=_AxisKit.pos:
-                        seen.append(list(points)) or _fn(self, seen[-1]))
-    for before, after, r, nabla, _ in todo:
-        moved = {r.x, r.y, RealPoint(r.x.value + Fraction(1, 32)),
-                 RealPoint(r.y.value + Fraction(1, 32))}
-        seen.clear()
-        verify_step(before, after, r, cfg, HALF, probe=True, _nabla=nabla)
-        assert seen and all(len(p) == 1 and p[0] in moved for p in seen)

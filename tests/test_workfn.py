@@ -9,10 +9,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wfalab import (ConfigError, EmptySetError, Instance, ProductPoint,
-                    RealLine, RealPoint, RequestIndexError, Scaled,
-                    SlackParam, cone, cone_envelope, idx, initial,
-                    instance_scale, max_difference, pointwise_min, pt,
-                    request, serves)
+                    RealLine, RealPoint, RequestIndexError, Scaled, cone,
+                    cone_envelope, idx, initial, instance_scale,
+                    max_difference, pointwise_min, pt, request, serves)
 from wfalab.metric import IndexPoint, product_key
 from wfalab.offline import dense_slack_max
 from wfalab.problem import grid_after, grid_points_on
@@ -64,7 +63,6 @@ def test_slack_known_value():
     wf = one_request_wf()
     r = wf.instance.requests[0]
     assert wf.slack(pt(0, 0), r, HALF) == Fraction(-1, 2)
-    assert wf.slack(pt(0, 0), r, SlackParam(HALF)) == Fraction(-1, 2)
 
 
 def test_slack_comparison_set_forms():
@@ -359,11 +357,6 @@ def all_configs(size):
 
 
 def test_slack_param_validation():
-    assert SlackParam(Fraction(3, 4)).value == Fraction(3, 4)
-    with pytest.raises(ConfigError):
-        SlackParam(1)
-    with pytest.raises(ConfigError):
-        SlackParam(0)
     wf = one_request_wf()
     with pytest.raises(ConfigError):
         wf.slack(pt(0, 0), pt(1, 0), 0)
