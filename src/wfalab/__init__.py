@@ -8,7 +8,8 @@ potential-function inequalities behind the competitive analysis.
 """
 
 from .algorithms import (AlgorithmConfig, RunTrace, StepRecord, greedy_step,
-                         retrospective_step, run, wfa_minimizers, wfa_step)
+                         retrospective_step, run, run_all, wfa_minimizers,
+                         wfa_step)
 from .errors import (AuditError, ConfigError, EmptySetError, ExactnessError,
                      InvalidMetricError, RegionSpaceError, RequestIndexError,
                      SizeGuardError, SpaceMismatchError,
@@ -48,5 +49,5 @@ __all__ = [
     "potential_for", "potential_from_json",
     "product_distance", "product_key", "pt", "real", "region_membership",
     "region_slack", "request", "resolve", "retrospective_step", "run",
-    "scaled_int", "serves", "verify_step", "wfa_minimizers", "wfa_step",
+    "run_all", "scaled_int", "serves", "verify_step", "wfa_minimizers", "wfa_step",
 ]

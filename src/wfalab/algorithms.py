@@ -6,8 +6,10 @@ classic rule, lam < 1 biases toward staying put just enough that the argmin
 always serves the request, lam -> 0 chases the retrospective optimum.  Greedy
 ignores W entirely.
 
-run() drives one algorithm over one instance, recording per-step movement
-cost, the extended cost (computed against the work function *before* the
+run_all() drives several algorithms over one instance in lockstep, sharing
+each step's work-function update, extended costs and verifier set-up;
+run() is its one-algorithm case.  Each run records per-step movement cost,
+the extended cost (computed against the work function *before* the
 update), and optionally a lemma report from the potential verifier.
 """
 
@@ -183,89 +185,168 @@ class RunTrace:
         return len(self.records)
 
 
+class _Lane:
+    """One config's progress through run_all: its position and what its
+    trace accumulates."""
+
+    def __init__(self, instance: Instance, config: AlgorithmConfig):
+        self.config = config
+        self.acct_lam = config.lam if config.kind == "wfa" else Fraction(1)
+        self.pcfg = None
+        self.pos = instance.origin
+        self.records = []
+        self.total_cost = Fraction(0)
+        self.nabla_total = Fraction(0)
+        self.lemma_failures = 0
+        self.min_ratio = None
+
+    def step(self, wf: WorkFunction, wf_next: WorkFunction, nabla: Fraction,
+             deltas: tuple, shared, audit: bool) -> None:
+        """Serve wf_next's request from the current position."""
+        instance, r, pos = wf.instance, wf_next.last_request, self.pos
+        self.nabla_total += nabla
+        ties = 1
+        if self.config.kind == "wfa":
+            mins = wfa_minimizers(wf_next, pos, self.config.lam)
+            ties = len(mins)
+            new_pos = min(mins, key=lambda t: (instance.distance(pos, t),
+                                               product_key(t)))
+        elif self.config.kind == "greedy":
+            new_pos = greedy_step(instance, pos, r)
+        else:
+            new_pos = retrospective_step(wf_next)
+        if not serves(new_pos, r):
+            raise WfalabError(f"position {new_pos} does not serve {r}")
+
+        report = None
+        phi_before = phi_after = None
+        if self.pcfg is not None:
+            report = _potential.verify_step(wf, wf_next, self.pcfg, audit=audit,
+                                            _nabla=nabla, _shared=shared)
+            phi_before = report.phi_before
+            phi_after = report.phi_after
+            self.lemma_failures += report.failures
+            if nabla > 0:
+                step_ratio = (phi_after - phi_before) / nabla
+                if self.min_ratio is None or step_ratio < self.min_ratio:
+                    self.min_ratio = step_ratio
+
+        move = instance.distance(pos, new_pos)
+        self.total_cost += move
+        self.records.append(StepRecord(wf.i, r, pos, new_pos, move, nabla, *deltas,
+                                       ties, phi_before, phi_after, report))
+        self.pos = new_pos
+
+    def trace(self, wf: WorkFunction) -> RunTrace:
+        """The run's trace, given W after the last request."""
+        opt = wf.opt_cost() if wf.i else Fraction(0)
+        total_cost, pos = self.total_cost, self.pos
+        ratio = total_cost / opt if opt > 0 else None
+        w_final = wf.evaluate(pos)
+        identity = None
+        if self.config.kind == "wfa":
+            identity = total_cost <= (self.nabla_total - w_final) / self.config.lam
+        phi_final = None
+        lemma_failures = self.lemma_failures
+        if self.pcfg is not None:
+            phi_final = self.records[-1].phi_after if self.records else Fraction(0)
+            if phi_final is not None and phi_final > opt:
+                lemma_failures += 1
+        return RunTrace(self.config, tuple(self.records), total_cost, opt, ratio,
+                        self.nabla_total, identity, pos, w_final,
+                        lemma_failures, self.min_ratio, phi_final)
+
+
+def run_all(instance: Instance, configs, verify: bool = False, potential="cnn",
+            *, audit: bool = False) -> list:
+    """Drive several algorithms over the full request sequence in lockstep;
+    returns [run(instance, c, verify, potential, audit=audit) for c in
+    configs].
+
+    W after a request depends on the requests alone, so each step updates
+    one work function for every config, takes the extended costs at all the
+    configs' distinct accounting lambdas in one WorkFunction.extended_costs
+    pass, and verifies every config against one potential.SharedStep.
+
+    An error is the one the lowest-index failing config raises when run
+    alone, with that config as its `algorithm` attribute: configs after it
+    stop at once, and those before it run on until they end or fail.
+    """
+    lanes = [_Lane(instance, c) for c in configs]
+    error = None
+
+    def drop(k: int, err: WfalabError) -> None:
+        """Lane k failed: only lanes before it still run, so its error is
+        the one to raise unless one of theirs replaces it."""
+        nonlocal error
+        err.algorithm = lanes[k].config
+        error = err
+        del lanes[k:]
+
+    for k, lane in enumerate(lanes):
+        if verify and lane.config.kind == "wfa":
+            try:
+                lane.pcfg = _potential.potential_for(potential, lane.acct_lam)
+            except WfalabError as exc:
+                drop(k, exc)
+                break
+
+    wf = initial(instance)
+    prev = RequestPoint(instance.origin.x, instance.origin.y)
+    for j, r in enumerate(instance.requests):
+        if not lanes:
+            break
+        try:
+            # Lanes at one lambda share its extended cost.
+            lams = list(dict.fromkeys(lane.acct_lam for lane in lanes))
+            nablas = {lam: v for lam, (v, _) in zip(lams, wf.extended_costs(r, lams))}
+            wf_next = wf.update(r)
+        except WfalabError as exc:
+            # Each lane alone would meet this error here, before its own.
+            drop(0, _at_step(j, exc))
+            break
+        deltas = (instance.distance_x(prev.x, r.x), instance.distance_y(prev.y, r.y))
+        verified = [lane.acct_lam for lane in lanes if lane.pcfg is not None]
+        shared = _potential.SharedStep(wf, wf_next, verified) if verified else None
+        for k, lane in enumerate(lanes):
+            try:
+                lane.step(wf, wf_next, nablas[lane.acct_lam], deltas, shared, audit)
+            except WfalabError as exc:
+                drop(k, _at_step(j, exc))
+                break
+        wf, prev = wf_next, r
+
+    traces = []
+    for k, lane in enumerate(lanes):
+        try:
+            traces.append(lane.trace(wf))
+        except WfalabError as exc:
+            drop(k, exc)
+            break
+    if error is not None:
+        raise error
+    return traces
+
+
+def _at_step(j: int, exc: WfalabError) -> WfalabError:
+    """exc's class and message prefixed "step j: ", caused by exc."""
+    err = type(exc)(f"step {j}: {exc}")
+    err.__cause__ = exc
+    return err
+
+
 def run(instance: Instance, config: AlgorithmConfig, verify: bool = False,
         potential="cnn", *, audit: bool = False) -> RunTrace:
     """Drive one algorithm over the full request sequence.
 
     The extended cost of each step uses the accounting lambda: the
     algorithm's own for wfa, 1 for the others.  With verify=True each step
-    is also pushed through the potential verifier.  potential is a variant
-    name, whose default constants need a lambda strictly below 1, or a
-    config with the accounting lambda (potential.potential_for).  A
+    of a wfa run is also pushed through the potential verifier (greedy and
+    retrospective, at accounting lambda 1, have no potential to verify).
+    potential is a variant name, whose default constants need a lambda
+    strictly below 1, or a config with the accounting lambda
+    (potential.potential_for).  audit applies to verified runs.  A
     WfalabError raised at step j is re-raised as the same class with its
     message prefixed "step j: ".
     """
-    acct_lam = config.lam if config.kind == "wfa" else Fraction(1)
-    pcfg = _potential.potential_for(potential, acct_lam) if verify else None
-
-    wf = initial(instance)
-    pos = instance.origin
-    records = []
-    total_cost = Fraction(0)
-    nabla_total = Fraction(0)
-    lemma_failures = 0
-    min_ratio = None
-    prev_request = None
-
-    for j, r in enumerate(instance.requests):
-        try:
-            nabla, _witness = wf.extended_cost(r, acct_lam)
-            nabla_total += nabla
-            ref = prev_request if prev_request is not None else RequestPoint(
-                instance.origin.x, instance.origin.y)
-            delta_x = instance.distance_x(ref.x, r.x)
-            delta_y = instance.distance_y(ref.y, r.y)
-
-            wf_next = wf.update(r)
-
-            ties = 1
-            if config.kind == "wfa":
-                mins = wfa_minimizers(wf_next, pos, config.lam)
-                ties = len(mins)
-                new_pos = min(mins, key=lambda t: (instance.distance(pos, t),
-                                                   product_key(t)))
-            elif config.kind == "greedy":
-                new_pos = greedy_step(instance, pos, r)
-            else:
-                new_pos = retrospective_step(wf_next)
-            if not serves(new_pos, r):
-                raise WfalabError(f"position {new_pos} does not serve {r}")
-
-            report = None
-            phi_before = phi_after = None
-            if verify:
-                report = _potential.verify_step(wf, wf_next, pcfg, audit=audit,
-                                                _nabla=nabla)
-                phi_before = report.phi_before
-                phi_after = report.phi_after
-                lemma_failures += report.failures
-                if nabla > 0:
-                    step_ratio = (phi_after - phi_before) / nabla
-                    if min_ratio is None or step_ratio < min_ratio:
-                        min_ratio = step_ratio
-
-            move = instance.distance(pos, new_pos)
-            total_cost += move
-            records.append(StepRecord(j, r, pos, new_pos, move, nabla,
-                                      delta_x, delta_y, ties,
-                                      phi_before, phi_after, report))
-            pos = new_pos
-            wf = wf_next
-            prev_request = r
-        except WfalabError as exc:
-            raise type(exc)(f"step {j}: {exc}") from exc
-
-    opt = wf.opt_cost() if instance.n else Fraction(0)
-    ratio = total_cost / opt if opt > 0 else None
-    w_final = wf.evaluate(pos)
-    identity = None
-    if config.kind == "wfa":
-        identity = total_cost <= (nabla_total - w_final) / config.lam
-    phi_final = None
-    if verify:
-        phi_final = records[-1].phi_after if records else Fraction(0)
-        if phi_final is not None and phi_final > opt:
-            lemma_failures += 1
-    return RunTrace(config, tuple(records), total_cost, opt, ratio,
-                    nabla_total, identity, pos, w_final,
-                    lemma_failures, min_ratio, phi_final)
+    return run_all(instance, [config], verify, potential, audit=audit)[0]

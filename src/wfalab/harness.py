@@ -1,10 +1,11 @@
 """Sequence generators, the batch experiment runner, and report emission.
 
 Batches are fully deterministic: each trial derives its own generator seed
-from the base seed, workers return results that are reordered by (trial,
-algorithm) before writing, numbers are serialized as exact "p/q" strings,
-and float approximations use a fixed format.  Running the same config twice
-produces byte-identical files.
+from the base seed, a worker runs one trial's algorithms in lockstep and
+returns their traces in config order, results come back in trial order,
+numbers are serialized as exact "p/q" strings, and float approximations use
+a fixed format.  Running the same config twice produces byte-identical
+files.
 """
 
 from __future__ import annotations
@@ -12,13 +13,12 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Tuple, Union
 
-from .algorithms import AlgorithmConfig, RunTrace, StepRecord, run
+from .algorithms import AlgorithmConfig, RunTrace, StepRecord, run, run_all
 from .errors import ConfigError, WfalabError
 from .exact import frac
 from .metric import (FiniteMatrix, ProductPoint, RealLine, Scaled, idx,
@@ -359,22 +359,23 @@ def _summary_row(gen: GeneratorConfig, tseed: int, trace: RunTrace) -> list:
 
 
 def _worker(task) -> tuple:
-    config, trial, alg_index = task
-    alg = config.algorithms[alg_index]
+    """One trial: its instance, every algorithm's trace from one lockstep
+    run, and whether the offline oracle agrees with their optimum."""
+    config, trial = task
     inst = generate(config.generator, config.seed, trial)
-    verify = config.verify and alg.kind == "wfa"
     try:
-        trace = run(inst, alg, verify=verify, potential=config.potential,
-                    audit=config.audit and verify)
+        traces = run_all(inst, config.algorithms, verify=config.verify,
+                         potential=config.potential, audit=config.audit)
     except WfalabError as exc:
         # Name the trial, so the error replays from the batch alone.
         where = (f"{config.generator.label} seed "
-                 f"{trial_seed(config.seed, trial)} {alg.label}")
+                 f"{trial_seed(config.seed, trial)} {exc.algorithm.label}")
         raise type(exc)(f"{where}: {exc}") from exc
     oracle_ok = True
     if inst.n <= MAX_ORACLE_REQUESTS:
-        oracle_ok = brute_force_opt(inst) == trace.opt_cost
-    return trial, alg_index, trace, oracle_ok
+        opt = brute_force_opt(inst)
+        oracle_ok = all(trace.opt_cost == opt for trace in traces)
+    return trial, traces, oracle_ok
 
 
 def _safe_name(label: str) -> str:
@@ -428,43 +429,43 @@ def run_experiment(config: ExperimentConfig, *, out_dir=None, seed=None,
     traces_dir = base / "traces"
     traces_dir.mkdir(parents=True, exist_ok=True)
 
-    tasks = [(config, trial, ai)
-             for trial in range(config.trials)
-             for ai in range(len(config.algorithms))]
+    # One task per trial: its algorithms run in lockstep.
+    tasks = ([(config, trial) for trial in range(config.trials)]
+             if config.algorithms else [])
     if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
             results = list(pool.map(_worker, tasks, chunksize=1))
     else:
         results = [_worker(t) for t in tasks]
-    results.sort(key=lambda item: (item[0], item[1]))
 
     lemma_failures = 0
-    oracle_clean = True
     all_traces = []
     with (base / "summary.csv").open("w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(SUMMARY_COLUMNS)
-        for trial, alg_index, trace, oracle_ok in results:
+        for trial, traces, _ in results:
             tseed = trial_seed(config.seed, trial)
-            writer.writerow(_summary_row(config.generator, tseed, trace))
-            lemma_failures += trace.lemma_failures
-            oracle_clean = oracle_clean and oracle_ok
-            all_traces.append(trace)
-            name = f"{trial:03d}-{_safe_name(trace.algorithm.label)}.jsonl"
-            with (traces_dir / name).open("w") as tf:
-                tf.write(json.dumps(_trace_header(config.generator, tseed,
-                                                  trace),
-                                    sort_keys=True, separators=(",", ":")))
-                tf.write("\n")
-                for rec in trace.records:
-                    tf.write(json.dumps(_step_json(rec), sort_keys=True,
-                                        separators=(",", ":")))
+            for trace in traces:
+                writer.writerow(_summary_row(config.generator, tseed, trace))
+                lemma_failures += trace.lemma_failures
+                all_traces.append(trace)
+                name = f"{trial:03d}-{_safe_name(trace.algorithm.label)}.jsonl"
+                with (traces_dir / name).open("w") as tf:
+                    tf.write(json.dumps(_trace_header(config.generator, tseed,
+                                                      trace),
+                                        sort_keys=True, separators=(",", ":")))
                     tf.write("\n")
+                    for rec in trace.records:
+                        tf.write(json.dumps(_step_json(rec), sort_keys=True,
+                                            separators=(",", ":")))
+                        tf.write("\n")
 
     if config.verify:
         _write_margins(base / "lemma_margins.csv", all_traces)
 
-    if not oracle_clean:
+    if not all(oracle_ok for _, _, oracle_ok in results):
         return 3
     if lemma_failures:
         return 2

@@ -32,7 +32,11 @@ kernel's minima does not run through it.
 The Lipschitz probe moves request i and needs W after the first i requests
 of the perturbed instance.  W after a sequence depends on that sequence
 alone, so that W is wf_before's, rescaled to the new instance's integer
-scale (WorkFunction.rescaled) rather than replayed from the start.
+scale (WorkFunction.rescaled) rather than replayed from the start.  Nor does
+it depend on the constants: a SharedStep holds the probe's work functions,
+its extended costs at every lambda verified on the step, and the domination
+samples, so configs verified on the same transition share them; only the
+probe's min G, which reads the constants, is each config's own.
 """
 
 from __future__ import annotations
@@ -257,11 +261,19 @@ def _json_key(field: str) -> str:
 
 def default_constants(lam, variant: str = "cnn") -> PotentialConfig:
     """Constants derived from lambda alone, with the F/G mix balanced so the
-    minor-axis terms cancel in the potential-increase bound."""
+    minor-axis terms cancel in the potential-increase bound.  Configs are
+    frozen, so one object serves every call with the same arguments."""
     lam = frac(lam)
     if not (0 < lam < 1):
         raise ConfigError(f"lambda must lie in (0, 1), got {lam}")
-    return _variant(variant).default(lam)
+    return _default(lam, _variant(variant))
+
+
+# Room for a batch's (lambda, variant) pairs; each derivation is 100-250 us
+# of Fraction arithmetic.
+@lru_cache(maxsize=64)
+def _default(lam: Fraction, cls: type) -> PotentialConfig:
+    return cls.default(lam)
 
 
 def potential_for(spec, lam) -> PotentialConfig:
@@ -661,7 +673,8 @@ def _index_points(wf: WorkFunction, idx: np.ndarray) -> tuple:
 
 
 # A verified step asks for the minima of the work functions just before and
-# after it, so a few entries keep every reuse; more would only pin old ones.
+# after it, for each config a lockstep run verifies; 16 entries keep every
+# reuse for up to 8 configs, and more would only pin old ones.
 @lru_cache(maxsize=16)
 def _base_frame(wf: WorkFunction, cfg: PotentialConfig) -> tuple:
     """wf's frame over _candidates(wf), and the candidates' index rows."""
@@ -798,15 +811,15 @@ def _domination_samples(wf: WorkFunction) -> tuple:
 
 
 def _dominate_checks(wf: WorkFunction, cfg: PotentialConfig,
-                     context: np.ndarray) -> list:
+                     context: np.ndarray, samples: tuple) -> list:
     """Sampled replace-a-dominated-point bounds, slots (a) through (f).
 
-    Samples are grid points off the request paired with their dominating
-    candidate on it; the context triple (positions at wf.scale) fills the
-    untouched slots.
+    samples are _domination_samples(wf): grid points off the request paired
+    with their dominating candidate on it; the context triple (positions at
+    wf.scale) fills the untouched slots.
     """
     bounds = cfg.dominate_bounds()
-    (s, t, d), two_candidate = _domination_samples(wf)
+    (s, t, d), two_candidate = samples
     out = [CheckResult(
         "dominated_by_request_candidate", two_candidate,
         note="every sampled point must be dominated by one of its two "
@@ -871,32 +884,83 @@ def _domination_candidates_check(wf_before: WorkFunction, wf_after: WorkFunction
     return CheckResult("domination_candidates", not bad, note=note)
 
 
-def _lipschitz_probe(wf_before: WorkFunction, r_next: RequestPoint,
-                     cfg: PotentialConfig, lam: Fraction, nabla: Fraction,
-                     mg_after: Fraction, swapped: bool) -> list:
+class SharedStep:
+    """What verifying the transition from wf_before to wf_after needs that
+    no config changes, for configs at the lambdas lams: how far the request
+    moved, the domination samples of wf_after, and the Lipschitz probe's
+    perturbed work functions with their extended costs (one
+    WorkFunction.extended_costs pass for every lambda).  Each part is
+    computed on first use, so a config meets an error there where it would
+    verifying alone."""
+
+    def __init__(self, wf_before: WorkFunction, wf_after: WorkFunction, lams):
+        self.wf_before, self.wf_after = wf_before, wf_after
+        self.lams = list(dict.fromkeys(lams))
+
+    @cached_property
+    def deltas(self) -> tuple:
+        """(delta max, delta min, swapped): the request's moves along the two
+        axes, the larger first; swapped when that is y's."""
+        inst = self.wf_before.instance
+        r_prev = self.wf_before.last_request
+        if r_prev is None:
+            r_prev = RequestPoint(inst.origin.x, inst.origin.y)
+        r_next = self.wf_after.last_request
+        dx = inst.distance_x(r_prev.x, r_next.x)
+        dy = inst.distance_y(r_prev.y, r_next.y)
+        return (dy, dx, True) if dx < dy else (dx, dy, False)
+
+    @cached_property
+    def samples(self) -> tuple:
+        return _domination_samples(self.wf_after)
+
+    @cached_property
+    def probe(self) -> Optional[tuple]:
+        """(d_eps, r_mod, wf2): the request with its minor-axis coordinate
+        moved by 1/32, how far that moved it, and W after the requests
+        before it as a work function of the instance that ends with r_mod;
+        None when the minor axis is finite."""
+        wf_before, r_next = self.wf_before, self.wf_after.last_request
+        inst = wf_before.instance
+        minor_is_y = not self.deltas[2]
+        if inst._axes[1 if minor_is_y else 0].kind != "line":
+            return None
+        eps = Fraction(1, 32)
+        if minor_is_y:
+            r_mod = RequestPoint(r_next.x, RealPoint(r_next.y.value + eps))
+            d_eps = inst.distance_y(r_next.y, r_mod.y)
+        else:
+            r_mod = RequestPoint(RealPoint(r_next.x.value + eps), r_next.y)
+            d_eps = inst.distance_x(r_next.x, r_mod.x)
+        # W after the first i requests does not depend on the later ones, so
+        # the perturbed instance's is wf_before's at that instance's scale.
+        inst2 = Instance(inst.space_x, inst.space_y, inst.origin,
+                         inst.requests[:wf_before.i] + (r_mod,))
+        return d_eps, r_mod, wf_before.rescaled(inst2)
+
+    @cached_property
+    def probe_nablas(self) -> dict:
+        _, r_mod, wf2 = self.probe
+        return {lam: v for lam, (v, _) in
+                zip(self.lams, wf2.extended_costs(r_mod, self.lams))}
+
+    @cached_property
+    def probe_after(self) -> WorkFunction:
+        _, r_mod, wf2 = self.probe
+        return wf2.update(r_mod)
+
+
+def _lipschitz_probe(shared: SharedStep, cfg: PotentialConfig, nabla: Fraction,
+                     mg_after: Fraction) -> list:
     """Advisory: nudge the minor-axis coordinate of the request and compare
     the extended cost and min G shifts against the documented constants."""
-    inst = wf_before.instance
-    ax, ay = inst._axes
-    minor_is_y = not swapped
-    if (ay if minor_is_y else ax).kind != "line":
+    if shared.probe is None:
         return [CheckResult("lipschitz_probe", True, advisory=True,
                             note="skipped: the minor axis is finite")]
-    eps = Fraction(1, 32)
-    if minor_is_y:
-        r_mod = RequestPoint(r_next.x, RealPoint(r_next.y.value + eps))
-        d_eps = inst.distance_y(r_next.y, r_mod.y)
-    else:
-        r_mod = RequestPoint(RealPoint(r_next.x.value + eps), r_next.y)
-        d_eps = inst.distance_x(r_next.x, r_mod.x)
-    i = wf_before.i
-    # W after the first i requests does not depend on the later ones, so the
-    # perturbed instance's is wf_before's at that instance's scale.
-    inst2 = Instance(inst.space_x, inst.space_y, inst.origin,
-                     inst.requests[:i] + (r_mod,))
-    wf2 = wf_before.rescaled(inst2)
-    nabla2, _ = wf2.extended_cost(r_mod, lam)
-    mg2 = min_g(wf2.update(r_mod), cfg)[0]
+    d_eps = shared.probe[0]
+    lam = cfg.triple_param
+    nabla2 = shared.probe_nablas[lam]
+    mg2 = min_g(shared.probe_after, cfg)[0]
     shift_n = abs(nabla2 - nabla)
     bound_n = (1 + lam) * d_eps
     shift_g = abs(mg2 - mg_after)
@@ -1002,28 +1066,23 @@ def _audit(wf_after: WorkFunction, cfg: PotentialConfig, mf: Fraction,
 
 def verify_step(wf_before: WorkFunction, wf_after: WorkFunction,
                 cfg: PotentialConfig, *, audit: bool = False,
-                _nabla: Optional[Fraction] = None) -> LemmaReport:
+                _nabla: Optional[Fraction] = None,
+                _shared: Optional[SharedStep] = None) -> LemmaReport:
     """Machine-check the per-step inequalities for one request transition.
 
     wf_after is wf_before updated with its next request, r_next; the
     accounting lambda is the potential's own.  All checks are exact;
     advisory entries (the Lipschitz probe) are recorded but never counted as
-    failures.
+    failures.  _shared, when given, is the SharedStep of this transition
+    for a set of lambdas that holds cfg's.
     """
     inst = wf_before.instance
     if wf_after.instance != inst or wf_after.i != wf_before.i + 1:
         raise ConfigError("wf_after must be wf_before updated with one request")
     r_next = wf_after.last_request
     lam = cfg.triple_param
-
-    origin = inst.origin
-    r_prev = wf_before.last_request
-    if r_prev is None:
-        r_prev = RequestPoint(origin.x, origin.y)
-    dx = inst.distance_x(r_prev.x, r_next.x)
-    dy = inst.distance_y(r_prev.y, r_next.y)
-    swapped = dx < dy
-    dmax, dmin = (dy, dx) if swapped else (dx, dy)
+    shared = _shared or SharedStep(wf_before, wf_after, [lam])
+    dmax, dmin, swapped = shared.deltas
 
     nabla = _nabla
     if nabla is None:
@@ -1054,7 +1113,7 @@ def verify_step(wf_before: WorkFunction, wf_after: WorkFunction,
         "minimum_in_r", all(serves(p, r_next) for p in (*tf2, *tg2)),
         note="F and G minimizers must serve the new request"))
 
-    checks.extend(_dominate_checks(wf_after, cfg, fr.P[list(f_idx)]))
+    checks.extend(_dominate_checks(wf_after, cfg, fr.P[list(f_idx)], shared.samples))
 
     checks.append(CheckResult("chain_f_g_h", mf2 <= mg2 <= mh2, mf2, mh2,
                               min(mg2 - mf2, mh2 - mg2)))
@@ -1094,14 +1153,14 @@ def verify_step(wf_before: WorkFunction, wf_after: WorkFunction,
                                                sorted(set(f_idx + g_idx))))
 
     if (tg2[0].x == tg2[1].x == tg2[2].x) or (tg2[0].y == tg2[1].y == tg2[2].y):
-        best_h = Fraction(int(fr.HT[np.ix_(g_idx, g_idx)].min()), fr.h_den)
+        g = np.array(g_idx)
+        best_h = Fraction(int(fr.HT[g[:, None], g].min()), fr.h_den)
         checks.append(CheckResult("convex_containment", best_h <= mg2,
                                   best_h, mg2, mg2 - best_h,
                                   note="aligned G minimizer admits a pair "
                                        "with H at most min G"))
 
-    checks.extend(_lipschitz_probe(wf_before, r_next, cfg, lam, nabla, mg2,
-                                   swapped))
+    checks.extend(_lipschitz_probe(shared, cfg, nabla, mg2))
 
     if audit:
         checks.append(_audit(wf_after, cfg, mf2, tf2, mg2, tg2))

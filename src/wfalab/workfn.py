@@ -35,7 +35,9 @@ cones with apex <= p) and one falling line (apex >= p'), so it bends only
 where those cross.  f - g is thus linear between consecutive apexes and
 crossings, and no larger beyond the outermost apexes (slope lam - 1 <= 0
 outward): its maximum is at one of them.  Positions and values scaled by
-2*num(lam), and f by den(lam), make each of them an integer.
+2*num(lam), and f by den(lam), make each of them an integer.  g and the
+apexes do not depend on lam, so extended_costs runs the kernel for several
+lambdas at once, one row per lambda at its own scale.
 
 Internally values are stored as numpy int64 at a fixed per-instance scale
 (the lcm of all coordinate and weight denominators), which keeps the update
@@ -118,7 +120,16 @@ class _AxisKit:
         if self.kind == "line":
             d = apos[:, None] - bpos[None, :]
             return np.abs(d, out=d)
-        return self.D[np.ix_(apos, bpos)]
+        return self.D[apos[:, None], bpos]
+
+    def row_dists(self, P: np.ndarray, z: np.ndarray) -> np.ndarray:
+        """[l, i, k]: the distance between P[l, i] and z[l, k], row l's
+        positions at its own multiple of the scale; on a finite space P is
+        one row of indices and z the points, and the result has one row."""
+        if self.kind == "line":
+            d = P[:, :, None] - z[:, None, :]
+            return np.abs(d, out=d)
+        return self.D[P[..., None], z]
 
     def span(self, pos: np.ndarray) -> int:
         """An upper bound on the distance between two of the positions."""
@@ -133,10 +144,11 @@ class _AxisKit:
             return m * int(self.D.max())
         return m * int(np.abs(pos).max()) + int(np.abs(np.asarray(fine)).max())
 
-    def point(self, q) -> SpacePoint:
-        """The point at position q; the inverse of pos."""
+    def point(self, q, m: int = 1) -> SpacePoint:
+        """The point at position q, given at m times the scale; the inverse
+        of pos."""
         if self.kind == "line":
-            return RealPoint(Fraction(int(q), self.scale) / self.weight)
+            return RealPoint(Fraction(int(q), self.scale * m) / self.weight)
         return IndexPoint(int(q))
 
     def refine(self, m: int, dtype, pos: np.ndarray) -> tuple:
@@ -150,23 +162,36 @@ class _AxisKit:
             return fine, pos
         return fine, pos.astype(dtype) * m
 
-    def peaks(self, envelopes) -> np.ndarray:
-        """Positions where a difference of lower envelopes of cones (apexes,
-        offsets, slope) can peak: all of a finite space; on a line the apexes
-        and each envelope's crossing between consecutive apexes, integers
-        when every offset +- slope * apex is a multiple of 2 * slope."""
+    def peaks(self, P: np.ndarray, envelopes) -> np.ndarray:
+        """Positions where a difference of lower envelopes of cones can peak:
+        all of a finite space; on a line, for each row of positions P (a row
+        per multiple of the scale), each envelope's apexes and its crossings
+        between consecutive apexes, integers when every offset +- slope *
+        apex is a multiple of 2 * slope.  An envelope is (count, offsets,
+        slopes): its apexes are the first count of P's columns, its offsets
+        a row per row of P, its slopes a column or a number."""
         if self.kind == "finite":
             return np.arange(len(self.D))
+        # A Python sort: numpy's first sort in a process maps 0.4 MB more code.
+        order = np.array(sorted(range(P.shape[1]), key=P[0].tolist().__getitem__))
         parts = []
-        for pos, off, c in envelopes:
-            # A Python sort: numpy's first sort in a process maps 0.4 MB more code.
-            order = sorted(range(len(pos)), key=pos.tolist().__getitem__)
-            pos, off = pos[order], off[order]
-            rising = np.minimum.accumulate(off - c * pos)
-            falling = np.minimum.accumulate((off + c * pos)[::-1])[::-1]
-            cross = (falling[1:] - rising[:-1]) // (2 * c)
-            parts += [pos, np.minimum(np.maximum(cross, pos[:-1]), pos[1:])]
-        return np.concatenate(parts)
+        for count, off, c in envelopes:
+            at = order if count == len(order) else order[order < count]
+            apex, off = P.take(at, axis=1), off.take(at, axis=1)
+            tilt = c * apex
+            rising = np.minimum.accumulate(off - tilt, axis=1)
+            falling = np.minimum.accumulate((off + tilt)[:, ::-1], axis=1)[:, ::-1]
+            cross = (falling[:, 1:] - rising[:, :-1]) // (2 * c)
+            parts += [apex, np.minimum(np.maximum(cross, apex[:, :-1]), apex[:, 1:])]
+        return np.concatenate(parts, axis=1)
+
+
+def _column(values: list, dtype):
+    """values down a column, to broadcast one per row; a single value stays
+    a number, which numpy broadcasts faster than a 1 x 1 array."""
+    if len(values) == 1:
+        return values[0]
+    return np.array(values, dtype=dtype)[:, None]
 
 
 def _added(points: tuple, pos: np.ndarray, p: SpacePoint, q) -> tuple:
@@ -405,47 +430,71 @@ class WorkFunction:
         lam = 1 can it differ from pl1d's, which reports a maximum on a flat
         left tail at the tail's right end, not at the smallest cone apex.
         """
-        lam = _param_value(lam)
+        return self.extended_costs(r_next, [lam])[0]
+
+    def extended_costs(self, r_next: RequestPoint, lams) -> list:
+        """[extended_cost(r_next, lam) for lam in lams], in one kernel pass
+        per line: row l of the pass is lams[l] at its own scale."""
+        lams = [_param_value(lam) for lam in lams]
         kx, ky = self.kits
         nxt = (kx.pos([r_next.x]), ky.pos([r_next.y]))
-        return min((self._line_max(fixed, nxt, lam) for fixed in "xy"),
-                   key=lambda vw: (-vw[0], product_key(vw[1])))
+        return [min(pair, key=lambda vw: (-vw[0], product_key(vw[1])))
+                for pair in zip(self._line_max("x", nxt, lams),
+                                self._line_max("y", nxt, lams))]
 
-    def _line_max(self, fixed: str, nxt: tuple, lam: Fraction) -> tuple:
-        """max of f - g (module docstring) on the last request's line whose
-        `fixed` coordinate is the request's; u is that axis, v the other.
-        nxt holds the next request's positions, one array per axis."""
+    def _line_max(self, fixed: str, nxt: tuple, lams: list) -> list:
+        """max of f - g (module docstring), with its witness, for each lam in
+        lams on the last request's line whose `fixed` coordinate is the
+        request's; u is that axis, v the other.  nxt holds the next request's
+        positions, one array per axis.  Row l works at m = 2 * num(lams[l])
+        times the scale, and f at den(lams[l]) times that."""
         cx, cy, w = self._anchor_cells
         axes = [(self.kits[0], self.gx, cx, self.grid.xs[self.xr], self.xr, nxt[0]),
                 (self.kits[1], self.gy, cy, self.grid.ys[self.yr], self.yr, nxt[1])]
         (ku, gu, cu, u_prev, ru, u_next), (kv, gv, cv, _, _, v_next) = (
             axes if fixed == "x" else axes[::-1])
-        upos = np.append(gu[ru], u_next)
+        upos = np.concatenate([gu[ru:ru + 1], u_next])
         du = ku.dists(gu[cu], upos)  # columns: to r_prev.u, to r_next.u
         shift = int(ku.dists(upos, upos)[1, 0])
         apv = gv[cv]
-        vpos = np.append(apv, v_next)  # the cone apexes, r_next.v's last
+        vpos = np.concatenate([apv, v_next])  # the cone apexes, r_next.v's last
         dv = kv.dists(apv, vpos[-1:])[:, 0]
-        # Every term below is under q * m * big in magnitude, every difference
-        # under twice that; positions enter the crossings, spans the sums.
-        p, q = lam.numerator, lam.denominator
-        m = 2 * p
+        # Every term of row l is under q * m * big in magnitude, every
+        # difference under twice that; positions enter the crossings, spans
+        # the sums.
         big = (int(w.max()) + int(du.max()) + shift + 2 * kv.span(vpos)
                + int(np.abs(vpos).max()))
-        dtype = np.int64 if 2 * q * m * big < 2 ** 62 else object
-        fine, vpos = kv.refine(m, dtype, vpos)
-        w, du, dv = (a.astype(dtype) * m for a in (w, du, dv))
-        g_off = w + du[:, 0]
-        f_off = np.append(q * (w + du[:, 1]) + p * m * shift,
-                          (q * (w + dv) + p * du[:, 0]).min())
-        z = fine.peaks([(vpos[:-1], g_off, 1), (vpos, f_off, p)])
-        g = (g_off[:, None] + fine.dists(vpos[:-1], z)).min(axis=0)
-        f = (f_off[:, None] + p * fine.dists(vpos, z)).min(axis=0)
+        reach = max(4 * lam.numerator * lam.denominator for lam in lams)
+        dtype = np.int64 if reach * big < 2 ** 62 else object
+        p, q = (_column([getattr(lam, part) for lam in lams], dtype)
+                for part in ("numerator", "denominator"))
+        # Row l is at m = 2 * p times the scale on a line.  A finite axis has
+        # no crossings to make integers, so it keeps m = 1, and its
+        # positions stay indices.
+        line = kv.kind == "line"
+        m = 2 * p if line else 1
+        w, du0, du1, dv = (a.astype(dtype, copy=False)[None]
+                           for a in (w, du[:, 0], du[:, 1], dv))
+        V = vpos.astype(dtype, copy=False)[None] * m if line else vpos[None]
+        g_off = m * (w + du0)
+        mp, mq = m * p, m * q
+        f_off = np.concatenate([mq * (w + du1) + mp * shift,
+                                (mq * (w + dv) + mp * du0).min(axis=1, keepdims=True)],
+                               axis=1)
+        z = kv.peaks(V, [(len(apv), g_off, 1), (len(vpos), f_off, p)])
+        d = kv.row_dists(V, z).astype(dtype, copy=False)
+        g = (g_off[:, :, None] + d[:, :-1]).min(axis=1)
+        f = (f_off[:, :, None]
+             + d * (p[:, :, None] if isinstance(p, np.ndarray) else p)).min(axis=1)
         h = f - q * g
-        best = h.max()
-        s = fine.point(min(c for c, v in zip(z.tolist(), h.tolist()) if v == best))
-        return (Fraction(int(best), self.scale * m * q),
-                ProductPoint(u_prev, s) if fixed == "x" else ProductPoint(s, u_prev))
+        out = []
+        zs = z.tolist() if line else [z.tolist()] * len(lams)
+        for lam, best, zl, hl in zip(lams, h.max(axis=1).tolist(), zs, h.tolist()):
+            mm = 2 * lam.numerator if line else 1
+            s = kv.point(min(c for c, v in zip(zl, hl) if v == best), mm)
+            out.append((Fraction(int(best), self.scale * mm * lam.denominator),
+                        ProductPoint(u_prev, s) if fixed == "x" else ProductPoint(s, u_prev)))
+        return out
 
 
 def initial(instance: Instance) -> WorkFunction:

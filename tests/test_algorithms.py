@@ -5,10 +5,10 @@ from fractions import Fraction
 
 import pytest
 
-from wfalab import (AlgorithmConfig, ConfigError, Instance, ProductPoint,
-                    RealLine, default_constants, greedy_step, initial, pt,
-                    request, retrospective_step, run, serves, verify_step,
-                    wfa_minimizers, wfa_step)
+from wfalab import (AlgorithmConfig, AuditError, ConfigError, Instance,
+                    ProductPoint, RealLine, default_constants, greedy_step,
+                    initial, potential, pt, request, retrospective_step, run,
+                    run_all, serves, verify_step, wfa_minimizers, wfa_step)
 from wfalab.harness import example_trace
 from wfalab.metric import IndexPoint, RealPoint, product_key
 from wfalab.problem import grid_points_on
@@ -144,6 +144,74 @@ def test_verify_needs_a_sub_unit_lambda_or_explicit_config():
             potential=default_constants(Fraction(1, 4)))
     with pytest.raises(ConfigError):
         run(inst, AlgorithmConfig("wfa", HALF), verify=True, potential="weird")
+
+
+# Every kind, repeated lambdas, and the unverifiable kinds between the
+# verified ones.
+LOCKSTEP = (AlgorithmConfig("wfa", Fraction(1, 4)), AlgorithmConfig("greedy"),
+            AlgorithmConfig("wfa", HALF), AlgorithmConfig("retrospective"),
+            AlgorithmConfig("wfa", Fraction(3, 4)), AlgorithmConfig("wfa", HALF))
+
+
+@pytest.mark.parametrize("maker,variant", [(plane_instance, "cnn"),
+                                           (weighted_instance, "cnn"),
+                                           (finite_instance, "general"),
+                                           (mixed_instance, "general")])
+def test_run_all_is_each_run_alone(maker, variant):
+    """Lockstep runs return exactly what each config's own run returns:
+    every record, lemma report and total, verified or not."""
+    inst = maker(random.Random(72), 5)
+    for verify in (False, True):
+        assert (run_all(inst, LOCKSTEP, verify, variant)
+                == [run(inst, c, verify, variant) for c in LOCKSTEP])
+
+
+def test_run_all_audits_as_each_run_alone():
+    inst = plane_instance(random.Random(73), 3)
+    configs = LOCKSTEP[:3]
+    assert (run_all(inst, configs, True, audit=True)
+            == [run(inst, c, True, audit=True) for c in configs])
+
+
+def test_run_all_raises_what_its_first_failing_config_raises_alone(monkeypatch):
+    """wfa[3/4] fails at step 1 and wfa[1/2] at step 3: the lockstep run
+    raises wfa[1/2]'s error, the one run(wfa[1/2]) raises, and names it."""
+    inst = plane_instance(random.Random(74), 5)
+    true_verify = potential.verify_step
+
+    def failing_verify(before, after, cfg, **kwargs):
+        if (cfg.lam, before.i) in {(Fraction(3, 4), 1), (HALF, 3)}:
+            raise AuditError(f"failed at {cfg.lam}")
+        return true_verify(before, after, cfg, **kwargs)
+
+    monkeypatch.setattr(potential, "verify_step", failing_verify)
+    configs = [AlgorithmConfig("greedy"), AlgorithmConfig("wfa", HALF),
+               AlgorithmConfig("wfa", Fraction(3, 4))]
+    with pytest.raises(AuditError) as lockstep:
+        run_all(inst, configs, True)
+    with pytest.raises(AuditError) as alone:
+        run(inst, configs[1], True)
+    assert str(lockstep.value) == str(alone.value) == "step 3: failed at 1/2"
+    assert str(lockstep.value.__cause__) == "failed at 1/2"
+    assert lockstep.value.algorithm == configs[1]
+    with pytest.raises(AuditError, match="step 1: failed at 3/4"):
+        run(inst, configs[2], True)
+
+
+def test_run_all_reports_a_config_refused_at_the_start_in_its_place():
+    """A potential that cannot verify a config fails that config before any
+    step, as run would: after configs that run clean it is the error, before
+    them it stops the run."""
+    inst = plane_instance(random.Random(75), 3)
+    cfg = default_constants(HALF)
+    half, quarter = AlgorithmConfig("wfa", HALF), AlgorithmConfig("wfa", Fraction(1, 4))
+    with pytest.raises(ConfigError) as alone:
+        run(inst, quarter, True, cfg)
+    for configs in ([half, quarter], [quarter, half]):
+        with pytest.raises(ConfigError) as lockstep:
+            run_all(inst, configs, True, cfg)
+        assert str(lockstep.value) == str(alone.value)
+        assert lockstep.value.algorithm == quarter
 
 
 def fraction_minimizers(wf_after, current, r, lam):

@@ -6,6 +6,7 @@ import dataclasses
 import io
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -21,6 +22,7 @@ from wfalab.harness import (GENERATOR_KINDS, SUMMARY_COLUMNS,
                             generator_from_json, generator_to_json,
                             run_experiment, trial_seed)
 from wfalab.metric import IndexPoint, Scaled
+from wfalab.workfn import WorkFunction
 
 HALF = Fraction(1, 2)
 
@@ -316,13 +318,13 @@ def test_oracle_disagreement_sets_exit_three(tmp_path, monkeypatch):
 
 
 def test_lemma_failures_set_exit_two(tmp_path, monkeypatch):
-    true_run = harness.run
+    true_run_all = harness.run_all
 
-    def lying_run(*args, **kwargs):
-        trace = true_run(*args, **kwargs)
-        return dataclasses.replace(trace, lemma_failures=1)
+    def lying_run_all(*args, **kwargs):
+        return [dataclasses.replace(trace, lemma_failures=1)
+                for trace in true_run_all(*args, **kwargs)]
 
-    monkeypatch.setattr(harness, "run", lying_run)
+    monkeypatch.setattr(harness, "run_all", lying_run_all)
     cfg = small_experiment(trials=1)
     assert run_experiment(cfg, out_dir=tmp_path) == 2
 
@@ -379,10 +381,12 @@ def test_cli_config_errors_exit_one(tmp_path):
 
 
 def test_run_errors_name_their_trial(tmp_path, monkeypatch):
-    def failing_run(inst, alg, **kwargs):
-        raise AuditError("midpoint refinement improved min F")
+    def failing_run_all(inst, algs, **kwargs):
+        exc = AuditError("midpoint refinement improved min F")
+        exc.algorithm = algs[0]
+        raise exc
 
-    monkeypatch.setattr(harness, "run", failing_run)
+    monkeypatch.setattr(harness, "run_all", failing_run_all)
     cfg = small_experiment(trials=2)
     with pytest.raises(AuditError) as info:
         run_experiment(cfg, out_dir=tmp_path)
@@ -410,3 +414,42 @@ def test_step_errors_name_their_trial_and_step(tmp_path, monkeypatch):
                                f"improved min F")
     assert str(info.value.__cause__) == "step 2: midpoint refinement improved min F"
     assert isinstance(info.value.__cause__.__cause__, AuditError)
+
+
+def test_a_trial_shares_its_work_functions_and_its_oracle(tmp_path, monkeypatch):
+    """A trial's algorithms run in lockstep: each verified step updates the
+    trial's work function once and the Lipschitz probe's once, and each
+    trial computes one brute-force optimum, however many algorithms run."""
+    counts = Counter()
+    update, oracle = WorkFunction.update, harness.brute_force_opt
+    monkeypatch.setattr(WorkFunction, "update",
+                        lambda self, r: counts.update(["update"]) or update(self, r))
+    monkeypatch.setattr(harness, "brute_force_opt",
+                        lambda inst: counts.update(["oracle"]) or oracle(inst))
+    lam = [{"kind": "wfa", "lambda": v} for v in ("1/4", "1/2", "3/4")]
+    for algorithms in (lam[1:2], lam + ["greedy", "retrospective", lam[1]]):
+        counts.clear()
+        cfg = small_experiment(algorithms=algorithms)
+        assert run_experiment(cfg, out_dir=tmp_path / str(len(algorithms))) == 0
+        n = cfg.generator.n
+        assert counts == {"update": 2 * n * cfg.trials, "oracle": cfg.trials}
+
+
+def test_a_trial_names_its_first_failing_algorithm(tmp_path, monkeypatch):
+    """wfa[1/2] fails first, at step 1, but wfa[1/4] comes first in the
+    config: the batch raises wfa[1/4]'s error, from step 2."""
+    verify_step = potential.verify_step
+
+    def failing_verify(before, after, cfg, **kwargs):
+        if (cfg.lam, before.i) in {(HALF, 1), (Fraction(1, 4), 2)}:
+            raise AuditError("midpoint refinement improved min F")
+        return verify_step(before, after, cfg, **kwargs)
+
+    monkeypatch.setattr(potential, "verify_step", failing_verify)
+    cfg = small_experiment(algorithms=[{"kind": "wfa", "lambda": "1/4"},
+                                       {"kind": "wfa", "lambda": "1/2"}])
+    with pytest.raises(AuditError) as info:
+        run_experiment(cfg, out_dir=tmp_path)
+    assert str(info.value) == (f"{cfg.generator.label} seed {trial_seed(9, 0)} "
+                               f"wfa[1/4]: step 2: midpoint refinement "
+                               f"improved min F")

@@ -657,6 +657,18 @@ def test_rescaled_refuses_what_it_cannot_hold():
         wf.rescaled(other)
 
 
+def test_default_constants_are_one_config_per_lambda_and_variant():
+    """default_constants hands out one frozen config per (lambda, variant),
+    whatever form lambda comes in, with the constants a fresh derivation
+    gives."""
+    for variant, cls in (("cnn", CnnPotential), ("general", GeneralPotential)):
+        cfg = default_constants(HALF, variant)
+        assert default_constants("1/2", variant) is cfg
+        assert default_constants(Fraction(2, 4), variant) is cfg
+        assert config_to_json(cfg) == config_to_json(cls.default(HALF))
+    assert default_constants(HALF) is default_constants(HALF, "cnn")
+
+
 def test_probe_replays_no_updates(monkeypatch):
     """The probe derives the perturbed work function from wf_before; its one
     update is W after the perturbed request itself."""

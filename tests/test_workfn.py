@@ -16,8 +16,9 @@ from wfalab.metric import IndexPoint, product_key
 from wfalab.offline import dense_slack_max
 from wfalab.problem import grid_after, grid_points_on
 
-from conftest import (finite_instance, grid_values, plane_instance, quarter,
-                      weighted_instance, wide_instance)
+from conftest import (finite_instance, grid_values, mixed_instance,
+                      plane_instance, quarter, weighted_instance,
+                      wide_instance)
 
 HALF = Fraction(1, 2)
 
@@ -348,6 +349,25 @@ def test_extended_cost_matches_the_pl1d_oracle(kind, seed, n, lam):
         assert value == want
         assert wf.slack(witness, r, lam) == value
         assert witness == want_witness or lam == 1
+        wf = wf.update(r)
+
+
+@pytest.mark.parametrize("kind", ["plane", "weighted", "finite", "mixed", "wide"])
+def test_extended_costs_are_each_lambda_alone(kind):
+    """Each row of the batched kernel, at its own scale, is the one-lambda
+    extended cost, value and witness, repeated lambdas and lambda = 1
+    included.  The wide batch holds 997/1000, so all its rows run in Python
+    ints, where 1/4 alone runs in int64."""
+    lams = [Fraction(1, 4), HALF, Fraction(3, 4), Fraction(1), Fraction(2, 7), HALF]
+    if kind == "wide":
+        inst = wide_instance()
+        lams.append(Fraction(997, 1000))
+    else:
+        make = {**MAKERS, "mixed": mixed_instance}[kind]
+        inst = make(random.Random(71), 6)
+    wf = initial(inst)
+    for r in inst.requests:
+        assert wf.extended_costs(r, lams) == [wf.extended_cost(r, lam) for lam in lams]
         wf = wf.update(r)
 
 
