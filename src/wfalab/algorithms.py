@@ -24,7 +24,7 @@ from .errors import ConfigError, WfalabError
 from .exact import frac
 from .metric import ProductPoint, product_key
 from .problem import Instance, RequestPoint, serves
-from .workfn import WorkFunction, _param_value, initial
+from .workfn import WorkFunction, _int_dtype, _param_value, initial
 
 # After the package's modules: importing wfalab from source, with no
 # bytecode cache, then compiles potential.py before numpy is loaded, and the
@@ -97,7 +97,7 @@ def wfa_minimizers(wf_after: WorkFunction, current: ProductPoint, lam) -> list:
     reach = sum(kit.reach(m, g, [c]) for kit, g, c in zip(wf_after.kits, grids, cur))
     lines = wf_after.lines
     bound = q * (m * int(lines.max()) + reach) + p * reach
-    dtype = np.int64 if bound < 2 ** 62 else object
+    dtype = _int_dtype(bound)
     # The first len(lines) candidates are the line cells, the rest off the grid.
     on = len(lines)
     W = np.zeros(len(cands), dtype=dtype)
@@ -222,7 +222,7 @@ class _Lane:
         phi_before = phi_after = None
         if self.pcfg is not None:
             report = _potential.verify_step(wf, wf_next, self.pcfg, audit=audit,
-                                            _nabla=nabla, _shared=shared)
+                                            _shared=shared)
             phi_before = report.phi_before
             phi_after = report.phi_after
             self.lemma_failures += report.failures
@@ -306,7 +306,8 @@ def run_all(instance: Instance, configs, verify: bool = False, potential="cnn",
             drop(0, _at_step(j, exc))
             break
         deltas = (instance.distance_x(prev.x, r.x), instance.distance_y(prev.y, r.y))
-        verified = [lane.acct_lam for lane in lanes if lane.pcfg is not None]
+        verified = {lane.acct_lam: nablas[lane.acct_lam]
+                    for lane in lanes if lane.pcfg is not None}
         shared = _potential.SharedStep(wf, wf_next, verified) if verified else None
         for k, lane in enumerate(lanes):
             try:

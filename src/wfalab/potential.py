@@ -13,17 +13,18 @@ margins.  There is no tolerance knob: a failed check means the engine and
 the mathematics disagree somewhere.
 
 The minima of F, G and H, and the values the domination checks read, come
-from one integer kernel (_Frame) on the work function's own scale, kits and
-anchors.  A verified step runs on grid indices and integer positions from
-start to finish: the candidates and the domination samples are index
-arrays, a frame takes positions read from the work function's grid, the
-checks compare integer margins, and points are built only for witnesses
-and reported values.  A frame evaluates F and G at broadcast index arrays
-of triples, with the anchors on a trailing axis.  The minima take rows
-(the first slot fixed, every second and third) in blocks of a fixed number
-of entries, so a small frame is one numpy pass and a large one never holds
-a cubic table.  The domination checks read F and G at their own 72 triples
-only.
+from one integer kernel on the work function's own scale, kits and anchors:
+a _Frame, one config's F, G and H tables over a _Base, which holds what no
+config changes (the candidates' positions, W at them, their distances).  A
+verified step runs on grid indices and integer positions throughout, and
+builds points only for witnesses and reported values.  A frame evaluates F
+and G at broadcast index arrays of triples, with the anchors on a trailing
+axis.  The minima take rows (the first slot fixed) in blocks of a fixed
+number of entries, so a large frame never holds a cubic table.  Each live
+work function has one _Memo, in a weak-keyed map so that it dies with the
+work function: its candidates and their base, and per config its frame and
+minima, each built on first use.  The configs verified on a step share the
+base, and the minima after a step serve as those before the next.
 f_value, g_value, h_value and region_slack compute the same quantities in
 Fraction.  They are the public API and the exact oracle the tests hold the
 kernel to, and the audit's dense sweeps call them so that its check on the
@@ -43,6 +44,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -54,7 +56,7 @@ from .errors import AuditError, ConfigError, RegionSpaceError, WfalabError
 from .exact import frac
 from .metric import IndexPoint, ProductPoint, RealPoint
 from .problem import Instance, RequestPoint, serves
-from .workfn import WorkFunction, _AxisKit, _param_value
+from .workfn import _HEADROOM, WorkFunction, _AxisKit, _int_dtype, _param_value
 
 HALF = Fraction(1, 2)
 
@@ -66,8 +68,8 @@ HALF = Fraction(1, 2)
 class PotentialConfig:
     """What the two variants' constants share: every field a Fraction, and
     the derived tables and hash computed once per config (the methods hand
-    out copies; the kernels' caches key on configs, and Fraction hashes are
-    slow).  VARIANTS maps each variant's name to its dataclass."""
+    out copies; the memos of frames and minima key on configs, and Fraction
+    hashes are slow).  VARIANTS maps each variant's name to its dataclass."""
 
     def __post_init__(self) -> None:
         for f in dataclasses.fields(self):
@@ -504,7 +506,7 @@ def _positions(wf: WorkFunction, idx: np.ndarray) -> np.ndarray:
 
 
 def _kernel_dtype(w_max: int, reach: int, cfg: PotentialConfig):
-    """int64 when no F, G or H kernel entry can reach 2**62, else object:
+    """int64 when every F, G and H kernel entry has headroom, else object:
     each entry is within 16 (w_max + reach) times the product of
     numerator + denominator over the pair and triple parameters, the
     coefficient and, for balls, eta."""
@@ -512,34 +514,28 @@ def _kernel_dtype(w_max: int, reach: int, cfg: PotentialConfig):
     for c in (cfg.pair_param, cfg.triple_param, cfg.coeff,
               getattr(cfg, "eta", Fraction(0))):
         bound *= c.numerator + c.denominator
-    return np.int64 if bound < 2 ** 62 else object
+    return _int_dtype(bound)
 
 
-class _Frame:
-    """F, G and H over triples of candidates, as integer tables on the work
-    function's own scale.
+class _Base:
+    """What a frame holds that no config changes, at scale m * wf.scale: the
+    candidates' positions P, a (k, 2) array (on a line read from wf.gx, wf.gy
+    or, m = 2, sums of two of them; on a finite axis a point's index), W at
+    them (exact: the anchors dominate every configuration), their distances
+    D, the anchors' values GW, each axis's (kit, candidate positions, anchor
+    positions), and the bounds w_max and reach; int64 where those allow."""
 
-    The candidates come as a (k, 2) array P of integer positions at m *
-    wf.scale: on a line read from wf.gx, wf.gy (m = 1) or sums of two of
-    them (m = 2, the audit's midpoints), on a finite axis a point's index.
-    W at a candidate is the minimum over the anchors of v + d (wf._w_at),
-    exact because the anchors dominate every configuration.  Row i holds F
-    or G at (i, j, m) for every j and m, over the fixed denominators f_den
-    and g_den; H is one table over h_den.  The tables are int64 when
-    _kernel_dtype finds headroom, else Python ints.
-    """
-
-    def __init__(self, wf: WorkFunction, m: int, P: np.ndarray,
-                 cfg: PotentialConfig):
-        self.P = P
+    def __init__(self, wf: WorkFunction, m: int, P: np.ndarray):
+        self.P, self.scale = P, m * wf.scale
         cx, cy, av = wf._anchor_cells
         # On a line every candidate lies in the grid's hull (grid points and
         # midpoints between them), so the grid's positions bound every
         # position and distance in the frame; a finite axis's span is its
         # largest distance.
-        reach = m * sum(kit.span(g) + int(np.abs(g).max())
-                        for kit, g in zip(wf.kits, (wf.gx, wf.gy)))
-        dtype = _kernel_dtype(m * int(av.max()) + reach, reach, cfg)
+        self.reach = m * sum(kit.span(g) + int(np.abs(g).max())
+                             for kit, g in zip(wf.kits, (wf.gx, wf.gy)))
+        self.w_max = m * int(av.max()) + self.reach
+        dtype = _int_dtype(self.w_max + self.reach)
         self.axes = []
         for kit, g, C in zip(wf.kits, (wf.gx[cx], wf.gy[cy]), P.T):
             fine, G = kit.refine(m, dtype, g)
@@ -547,7 +543,24 @@ class _Frame:
         (kx, X, _), (ky, Y, _) = self.axes
         self.GW = av.astype(dtype) * m
         self.W = wf._w_at(m, X, Y).astype(dtype, copy=False)
-        D = kx.dists(X, X) + ky.dists(Y, Y)
+        self.D = kx.dists(X, X) + ky.dists(Y, Y)
+
+
+class _Frame:
+    """F, G and H over triples of a base's candidates, on its scale.  Row i
+    holds F or G at (i, j, m) for every j and m, over the fixed denominators
+    f_den and g_den; H is one table over h_den.  The tables are int64 when
+    _kernel_dtype finds headroom for cfg, else Python ints."""
+
+    def __init__(self, base: _Base, cfg: PotentialConfig):
+        self.P = base.P
+        dtype = _kernel_dtype(base.w_max, base.reach, cfg)
+        self.axes = []
+        for kit, C, G in base.axes:
+            fine, G = kit.refine(1, dtype, G)
+            self.axes.append((fine, C if kit.kind == "finite" else C.astype(dtype), G))
+        self.GW, self.W, D = (a.astype(dtype, copy=False)
+                              for a in (base.GW, base.W, base.D))
         self.pn, self.pd = cfg.pair_param.numerator, cfg.pair_param.denominator
         self.ln, self.ld = cfg.triple_param.numerator, cfg.triple_param.denominator
         self.cn, self.cd = cfg.coeff.numerator, cfg.coeff.denominator
@@ -557,7 +570,7 @@ class _Frame:
         # HT[i, j]: H(i, j).  SLT[i, m]: slack of m against i alone.
         self.HT = (self.W[:, None] + self.W[None, :]) * self.pd - self.pn * D
         self.SLT = (self.W[:, None] - self.W[None, :]) * self.ld + self.ln * D
-        self.h_den = 2 * m * wf.scale * self.pd
+        self.h_den = 2 * base.scale * self.pd
         self.f_den = self.h_den * self.ld * self.cd
         self.g_den = self.f_den * self.ed
 
@@ -672,24 +685,35 @@ def _index_points(wf: WorkFunction, idx: np.ndarray) -> tuple:
     return tuple(ProductPoint(xs[a], ys[b]) for a, b in idx.tolist())
 
 
-# A verified step asks for the minima of the work functions just before and
-# after it, for each config a lockstep run verifies; 16 entries keep every
-# reuse for up to 8 configs, and more would only pin old ones.
-@lru_cache(maxsize=16)
-def _base_frame(wf: WorkFunction, cfg: PotentialConfig) -> tuple:
-    """wf's frame over _candidates(wf), and the candidates' index rows."""
-    idx = _candidates(wf)
-    return _Frame(wf, 1, _positions(wf, idx), cfg), idx
+class _Memo:
+    """A work function's candidates (idx, as index rows), their base, and
+    per config its frame and its minima, each built on first use.  It holds
+    no reference to the work function, so its entry in _memos dies with it."""
+
+    def __init__(self, wf: WorkFunction):
+        self.idx = _candidates(wf)
+        self.base = _Base(wf, 1, _positions(wf, self.idx))
+        self.frames, self.minima = {}, {}
 
 
-@lru_cache(maxsize=48)
+_memos = weakref.WeakKeyDictionary()
+
+
+def _frame(wf: WorkFunction, cfg: PotentialConfig) -> tuple:
+    """(wf's memo, its frame for cfg)."""
+    memo = _memos.get(wf) or _memos.setdefault(wf, _Memo(wf))
+    if cfg not in memo.frames:
+        memo.frames[cfg] = _Frame(memo.base, cfg)
+    return memo, memo.frames[cfg]
+
+
 def _minimum(wf: WorkFunction, cfg: PotentialConfig, kernel) -> tuple:
-    """(value, witness points, witness rows) of one kernel on the base
-    frame; as many work functions as _base_frame keeps, for each of the
-    three kernels."""
-    fr, idx = _base_frame(wf, cfg)
-    v, rows = kernel(fr)
-    return v, _index_points(wf, idx[list(rows)]), rows
+    """(value, witness points, witness rows) of one kernel on wf's frame."""
+    memo, fr = _frame(wf, cfg)
+    if (cfg, kernel) not in memo.minima:
+        v, rows = kernel(fr)
+        memo.minima[cfg, kernel] = v, _index_points(wf, memo.idx[list(rows)]), rows
+    return memo.minima[cfg, kernel]
 
 
 def min_f(wf: WorkFunction, cfg: PotentialConfig) -> tuple:
@@ -835,7 +859,7 @@ def _dominate_checks(wf: WorkFunction, cfg: PotentialConfig,
     cells = np.stack([s, t], axis=1).reshape(-1, 2)
     pts = np.concatenate([context, np.stack([wf.gx[cells[:, 0]], wf.gy[cells[:, 1]]],
                                             axis=1)])
-    fr = _Frame(wf, 1, pts, cfg)
+    fr = _Frame(_Base(wf, 1, pts), cfg)
     x = np.arange(3, len(pts))
     triples = [np.where(np.arange(3)[:, None] == n, x, n) for n in range(3)]
     tables = (fr.f_at(*triples), fr.g_at(*triples))
@@ -857,17 +881,16 @@ def _dominate_checks(wf: WorkFunction, cfg: PotentialConfig,
 
 
 def _domination_candidates_check(wf_before: WorkFunction, wf_after: WorkFunction,
-                                 cfg: PotentialConfig, rows: list) -> CheckResult:
+                                 P: np.ndarray, idx: np.ndarray, rows: list) -> CheckResult:
     """Minimizer points sharing a coordinate with the new request must be
     dominated, against the previous work function, by the single candidate
-    on the previous request.  rows lists the minimizers' rows of
-    wf_after's base frame, in product_key order."""
-    fr, idx = _base_frame(wf_after, cfg)
+    on the previous request.  rows lists the minimizers' rows of wf_after's
+    candidates idx, at positions P, in product_key order."""
     nx, ny = wf_after.gx[wf_after.xr], wf_after.gy[wf_after.yr]
     px, py = wf_before.gx[wf_before.xr], wf_before.gy[wf_before.yr]
     pairs = []  # (row of s, position of its dominating candidate t)
     for i in rows:
-        x, y = fr.P[i]
+        x, y = P[i]
         if x == nx and y != py:
             pairs.append((i, px, y))
         if y == ny and x != px:
@@ -875,7 +898,7 @@ def _domination_candidates_check(wf_before: WorkFunction, wf_after: WorkFunction
     bad = []
     if pairs:
         s, tx, ty = (np.array(c) for c in zip(*pairs))
-        S = fr.P[s]
+        S = P[s]
         kx, ky = wf_before.kits
         W = wf_before._w_at(1, np.append(S[:, 0], tx), np.append(S[:, 1], ty))
         d = kx.dists(tx, S[:, 0]).diagonal() + ky.dists(ty, S[:, 1]).diagonal()
@@ -886,16 +909,16 @@ def _domination_candidates_check(wf_before: WorkFunction, wf_after: WorkFunction
 
 class SharedStep:
     """What verifying the transition from wf_before to wf_after needs that
-    no config changes, for configs at the lambdas lams: how far the request
-    moved, the domination samples of wf_after, and the Lipschitz probe's
-    perturbed work functions with their extended costs (one
-    WorkFunction.extended_costs pass for every lambda).  Each part is
-    computed on first use, so a config meets an error there where it would
-    verifying alone."""
+    no config changes, for configs at the lambdas of nablas (which maps each
+    to the step's extended cost): how far the request moved, the domination
+    samples of wf_after, and the Lipschitz probe's perturbed work functions
+    with their extended costs (one WorkFunction.extended_costs pass for
+    every lambda).  Each part is computed on first use, so a config meets an
+    error there where it would verifying alone."""
 
-    def __init__(self, wf_before: WorkFunction, wf_after: WorkFunction, lams):
+    def __init__(self, wf_before: WorkFunction, wf_after: WorkFunction, nablas: dict):
         self.wf_before, self.wf_after = wf_before, wf_after
-        self.lams = list(dict.fromkeys(lams))
+        self.nablas = nablas
 
     @cached_property
     def deltas(self) -> tuple:
@@ -942,7 +965,7 @@ class SharedStep:
     def probe_nablas(self) -> dict:
         _, r_mod, wf2 = self.probe
         return {lam: v for lam, (v, _) in
-                zip(self.lams, wf2.extended_costs(r_mod, self.lams))}
+                zip(self.nablas, wf2.extended_costs(r_mod, list(self.nablas)))}
 
     @cached_property
     def probe_after(self) -> WorkFunction:
@@ -982,7 +1005,7 @@ def _refined_candidates(wf: WorkFunction) -> np.ndarray:
         if kit.kind == "finite":
             axes.append((np.arange(len(kit.D)), int(g[at])))
             continue
-        if int(np.abs(g).max()) >= 2 ** 61:
+        if int(np.abs(g).max()) >= _HEADROOM // 2:
             raise WfalabError("grid positions overflow the refined candidates")
         fine = np.empty(2 * len(g) - 1, dtype=np.int64)
         fine[0::2], fine[1::2] = 2 * g, g[:-1] + g[1:]
@@ -996,20 +1019,14 @@ def _dense_line_points(wf: WorkFunction, around: ProductPoint) -> list:
     the given point when the grid hull is wide."""
     r = wf.last_request
     ax, ay = wf.instance._axes
-    step = Fraction(1, 16)
     out = []
 
     def sweep(coords, center):
         lo, hi = min(coords), max(coords)
         if hi - lo > 16:
-            lo = max(lo, center - 8)
-            hi = min(hi, center + 8)
-        v = Fraction(math.ceil(lo * 16), 16)
-        vals = []
-        while v <= hi:
-            vals.append(v)
-            v += step
-        return vals
+            lo, hi = max(lo, center - 8), min(hi, center + 8)
+        return [Fraction(k, 16)
+                for k in range(math.ceil(lo * 16), math.floor(hi * 16) + 1)]
 
     if ay.kind == "line":
         for v in sweep([p.value for p in wf.grid.ys], around.y.value):
@@ -1028,18 +1045,16 @@ def _audit(wf_after: WorkFunction, cfg: PotentialConfig, mf: Fraction,
     for F (and for G on small grids); dense step-1/16 sweeps vary one triple
     slot at a time around each winner.  Any strict improvement raises.
     """
-    fr = _Frame(wf_after, 2, _refined_candidates(wf_after), cfg)
-    v = _min_f_frame(fr)[0]
-    if v != mf:
-        raise AuditError(f"midpoint refinement improved min F: {v} < {mf}")
-    v = _min_g_frame(fr)[0]
-    if v != mg:
-        raise AuditError(f"midpoint refinement improved min G: {v} < {mg}")
+    fr = _Frame(_Base(wf_after, 2, _refined_candidates(wf_after)), cfg)
+    for label, kernel, best in (("F", _min_f_frame, mf), ("G", _min_g_frame, mg)):
+        v = kernel(fr)[0]
+        if v != best:
+            raise AuditError(f"midpoint refinement improved min {label}: {v} < {best}")
 
     # Row-major over the sorted grid is product_key order.
     gx, gy = wf_after.gx, wf_after.gy
     full = np.stack([np.repeat(gx, len(gy)), np.tile(gy, len(gx))], axis=1)
-    fr_full = _Frame(wf_after, 1, full, cfg)
+    fr_full = _Frame(_Base(wf_after, 1, full), cfg)
     v = _min_f_frame(fr_full)[0]
     if v < mf:
         raise AuditError(f"a full-grid triple improves min F: {v} < {mf}")
@@ -1066,7 +1081,6 @@ def _audit(wf_after: WorkFunction, cfg: PotentialConfig, mf: Fraction,
 
 def verify_step(wf_before: WorkFunction, wf_after: WorkFunction,
                 cfg: PotentialConfig, *, audit: bool = False,
-                _nabla: Optional[Fraction] = None,
                 _shared: Optional[SharedStep] = None) -> LemmaReport:
     """Machine-check the per-step inequalities for one request transition.
 
@@ -1081,12 +1095,10 @@ def verify_step(wf_before: WorkFunction, wf_after: WorkFunction,
         raise ConfigError("wf_after must be wf_before updated with one request")
     r_next = wf_after.last_request
     lam = cfg.triple_param
-    shared = _shared or SharedStep(wf_before, wf_after, [lam])
+    shared = _shared or SharedStep(
+        wf_before, wf_after, {lam: wf_before.extended_cost(r_next, lam)[0]})
     dmax, dmin, swapped = shared.deltas
-
-    nabla = _nabla
-    if nabla is None:
-        nabla, _ = wf_before.extended_cost(r_next, lam)
+    nabla = shared.nablas[lam]
 
     consts = cfg.constants()
     mf1, _tf1 = min_f(wf_before, cfg)
@@ -1094,9 +1106,8 @@ def verify_step(wf_before: WorkFunction, wf_after: WorkFunction,
     mf2, tf2 = min_f(wf_after, cfg)
     mg2, tg2 = min_g(wf_after, cfg)
     mh2, _ = min_h(wf_after, cfg)
-    # The witnesses' rows in wf_after's base frame, which holds their
-    # positions and H.
-    fr, _ = _base_frame(wf_after, cfg)
+    # wf_after's frame holds the witnesses' positions and H, by row.
+    memo, fr = _frame(wf_after, cfg)
     f_idx = _minimum(wf_after, cfg, _min_f_frame)[2]
     g_idx = _minimum(wf_after, cfg, _min_g_frame)[2]
     w = cfg.weight
@@ -1149,7 +1160,7 @@ def verify_step(wf_before: WorkFunction, wf_after: WorkFunction,
     checks.append(CheckResult("phi_increase", lhs >= rhs, lhs, rhs, lhs - rhs))
     ratio = lhs / nabla if nabla > 0 else None
 
-    checks.append(_domination_candidates_check(wf_before, wf_after, cfg,
+    checks.append(_domination_candidates_check(wf_before, wf_after, fr.P, memo.idx,
                                                sorted(set(f_idx + g_idx))))
 
     if (tg2[0].x == tg2[1].x == tg2[2].x) or (tg2[0].y == tg2[1].y == tg2[2].y):

@@ -66,6 +66,14 @@ from .metric import (IndexPoint, ProductPoint, RealPoint, ResolvedAxis,
 from .problem import Grid, Instance, RequestPoint, grid_after, grid_points_on
 
 
+# An int64 kernel keeps every value below this, so a sum of two stays in range.
+_HEADROOM = 2 ** 62
+
+
+def _int_dtype(bound: int):
+    return np.int64 if bound < _HEADROOM else object
+
+
 def _param_value(param) -> Fraction:
     value = frac(param)
     if not (0 < value <= 1):
@@ -209,7 +217,7 @@ def _rescale(a: np.ndarray, ratio: Fraction, what: str) -> np.ndarray:
     q, rest = np.divmod(a, ratio.denominator)
     if rest.any():
         raise WfalabError(f"{what} are not exact at the new scale")
-    if int(np.abs(q).max()) * ratio.numerator >= 2 ** 62:
+    if int(np.abs(q).max()) * ratio.numerator >= _HEADROOM:
         raise WfalabError(f"{what} overflow the integer kernel")
     return q * ratio.numerator
 
@@ -319,7 +327,7 @@ class WorkFunction:
         axes = [(kit, g, np.asarray(P)) for kit, g, P in
                 zip(self.kits, (self.gx[cx], self.gy[cy]), (X, Y))]
         big = m * int(av.max()) + sum(kit.reach(m, g, P) for kit, g, P in axes)
-        dtype = np.int64 if big < 2 ** 62 else object
+        dtype = _int_dtype(big)
         W = av.astype(dtype)[:, None] * m
         for kit, g, P in axes:
             fine, G = kit.refine(m, dtype, g)
@@ -355,7 +363,7 @@ class WorkFunction:
         cx, cy, av = self._anchor_cells
         # Every sum below is an anchor value plus at most two distances per
         # axis between new-grid positions.
-        if int(av.max()) + 2 * (kx.span(gx) + ky.span(gy)) >= 2 ** 62:
+        if int(av.max()) + 2 * (kx.span(gx) + ky.span(gy)) >= _HEADROOM:
             raise WfalabError("work-function values overflow the integer kernel")
         apx, apy = self.gx[cx], self.gy[cy]
         on_v = ((av + kx.dists(apx, rx)[:, 0])[:, None] + ky.dists(apy, gy)).min(axis=0)
@@ -465,7 +473,7 @@ class WorkFunction:
         big = (int(w.max()) + int(du.max()) + shift + 2 * kv.span(vpos)
                + int(np.abs(vpos).max()))
         reach = max(4 * lam.numerator * lam.denominator for lam in lams)
-        dtype = np.int64 if reach * big < 2 ** 62 else object
+        dtype = _int_dtype(reach * big)
         p, q = (_column([getattr(lam, part) for lam in lams], dtype)
                 for part in ("numerator", "denominator"))
         # Row l is at m = 2 * p times the scale on a line.  A finite axis has

@@ -60,3 +60,28 @@ def test_all_lists_exactly_the_public_imports():
                 for a in node.names if not (a.asname or a.name).startswith("_")]
     assert len(wfalab.__all__) == len(set(wfalab.__all__))
     assert sorted(wfalab.__all__) == sorted(imported)
+
+
+def _is_cache(decorator) -> bool:
+    """functools.lru_cache or functools.cache, called or not, by either
+    name."""
+    if isinstance(decorator, ast.Call):
+        decorator = decorator.func
+    name = (decorator.attr if isinstance(decorator, ast.Attribute)
+            else getattr(decorator, "id", None))
+    return name in ("lru_cache", "cache")
+
+
+def test_no_cache_keyed_on_a_work_function():
+    """A module-level cache keyed on a work function pins it, and its size
+    is a guess at the traffic; the potential's memo of a work function
+    lives exactly as long as the work function does."""
+    found = [f"{path.name}:{fn.lineno} {fn.name}"
+             for path in sorted(SRC.glob("*.py"))
+             for fn in ast.walk(ast.parse(path.read_text()))
+             if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+             and any(_is_cache(d) for d in fn.decorator_list)
+             for a in (*fn.args.posonlyargs, *fn.args.args, *fn.args.kwonlyargs)
+             if a.annotation is not None
+             and ast.unparse(a.annotation).strip("'\"") == "WorkFunction"]
+    assert not found, found

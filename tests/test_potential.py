@@ -1,8 +1,10 @@
 """Potential constants, regions, triple minima, and the step verifier."""
 
 import dataclasses
+import gc
 import random
 import tracemalloc
+import weakref
 from collections import Counter
 from fractions import Fraction
 
@@ -11,13 +13,15 @@ import pytest
 
 from wfalab import (AlgorithmConfig, AuditError, ConfigError, Instance,
                     ProductPoint, RealLine, RegionSpaceError, RequestPoint,
-                    WfalabError, idx, initial, pt, request, run,
+                    WfalabError, idx, initial, pt, request, run, run_all,
                     wfa_minimizers, wfa_step)
 from wfalab.metric import IndexPoint, RealPoint, product_key
+from wfalab import potential
 from wfalab.harness import GeneratorConfig, generate
 from wfalab.potential import (Boks, CnnPotential, GeneralPotential, Spheres,
-                              _audit, _candidates, _domination_samples,
-                              _Frame, _min_f_frame, _min_g_frame, _positions,
+                              _audit, _Base, _candidates,
+                              _domination_samples, _Frame, _min_f_frame,
+                              _min_g_frame, _positions,
                               _refined_candidates, config_from_json,
                               config_to_json, default_constants, f_value,
                               g_value, h_value, min_f, min_g, min_h, phi,
@@ -313,7 +317,7 @@ def test_frame_rows_match_the_fraction_oracle(maker):
         if variant == "cnn" and maker == "finite":
             continue
         cfg = default_constants(lam, variant)
-        fr = _Frame(wf, 2, P, cfg)
+        fr = _Frame(_Base(wf, 2, P), cfg)
         assert (fr.HT.dtype == object) == (maker == "wide")
         k = len(cands)
         block = fr.f_row(np.arange(k)), fr.g_row(np.arange(k))
@@ -335,7 +339,8 @@ def test_triple_minima_hold_no_cubic_table():
     under a quarter of a k x k x k int64 table."""
     inst = generate(GeneratorConfig("uniform_random", n=80, coord_range=1000), 1)
     wf = run_to_end(inst)
-    fr = _Frame(wf, 1, _positions(wf, _candidates(wf)), default_constants(HALF))
+    fr = _Frame(_Base(wf, 1, _positions(wf, _candidates(wf))),
+                default_constants(HALF))
     k = len(fr.P)
     assert k >= 160
     for kernel in (_min_f_frame, _min_g_frame):
@@ -693,7 +698,7 @@ def test_verified_plane_step_converts_no_points(monkeypatch):
     todo = []
     pos = inst.origin
     for before, after, r in steps(inst):
-        todo.append((before, after, r, before.extended_cost(r, HALF)[0], pos))
+        todo.append((before, after, r, pos))
         pos = wfa_step(after, pos, HALF)
     calls = Counter()
     seen = []
@@ -702,11 +707,11 @@ def test_verified_plane_step_converts_no_points(monkeypatch):
     monkeypatch.setattr(WorkFunction, "evaluate",
                         lambda *args, _fn=WorkFunction.evaluate:
                         calls.update(["evaluate"]) or _fn(*args))
-    for before, after, r, nabla, pos in todo:
+    for before, after, r, pos in todo:
         moved = {r.x, r.y, RealPoint(r.x.value + Fraction(1, 32)),
                  RealPoint(r.y.value + Fraction(1, 32))}
         seen.clear()
-        report = verify_step(before, after, cfg, _nabla=nabla)
+        report = verify_step(before, after, cfg)
         assert report.failures == 0
         assert wfa_minimizers(after, pos, HALF)
         assert seen and all(len(p) == 1 and p[0] in moved for p in seen)
@@ -714,3 +719,70 @@ def test_verified_plane_step_converts_no_points(monkeypatch):
     # The counters see what does convert: an off-grid evaluate.
     after.evaluate(pt(Fraction(1, 3), Fraction(1, 5)))
     assert calls["evaluate"] == 1
+
+
+# Nine verified lambdas: more configs than the frames a step reads back.
+NINE_LAMBDAS = [AlgorithmConfig("wfa", Fraction(k, 10)) for k in range(1, 10)]
+
+
+def test_a_verified_run_builds_each_base_and_minimum_once(monkeypatch):
+    """Over a lockstep run verifying nine lambdas, every work function whose
+    minima are taken (the run's and the probe's) gets one base, each of its
+    configs one frame on it, and each (work function, config, kernel)
+    minimum is computed once; the other frames are the domination checks',
+    at most one per verified config and step."""
+    inst = generate(GeneratorConfig("uniform_random", n=8), 1)
+    # id of a base or frame -> (it, kept so that no id is reused; its work
+    # function; its config, None for a base; its base's id)
+    made = {}
+    minima = Counter()
+    base_init, frame_init = _Base.__init__, _Frame.__init__
+
+    def counted_base(self, wf, m, P):
+        base_init(self, wf, m, P)
+        made[id(self)] = self, wf, None, id(self)
+
+    def counted_frame(self, base, cfg):
+        frame_init(self, base, cfg)
+        made[id(self)] = self, made[id(base)][1], cfg, id(base)
+
+    monkeypatch.setattr(_Base, "__init__", counted_base)
+    monkeypatch.setattr(_Frame, "__init__", counted_frame)
+    for name in ("_min_f_frame", "_min_g_frame", "_min_h_frame"):
+        monkeypatch.setattr(potential, name, lambda fr, _k=getattr(potential, name):
+                            minima.update([(id(fr), _k)]) or _k(fr))
+    traces = run_all(inst, NINE_LAMBDAS, verify=True)
+    assert all(t.lemma_failures == 0 for t in traces)
+
+    assert minima and set(minima.values()) == {1}
+    read = {fr for fr, _ in minima}
+    pairs = [made[fr][1:3] for fr in read]
+    wfs = {wf for wf, _ in pairs}
+    # W before each of the 8 requests and after the last, and the probe's W
+    # after each moved request.
+    assert len(wfs) == 2 * 8 + 1
+    assert len(pairs) == len(set(pairs)) == len(wfs) * len(NINE_LAMBDAS)
+    assert len({made[fr][3] for fr in read}) == len(wfs)
+    bases = [k for k, (_, _, cfg, _) in made.items() if cfg is None]
+    frames = [k for k, (_, _, cfg, _) in made.items() if cfg is not None]
+    assert len(bases) - len(wfs) == len(frames) - len(read) <= 8 * len(NINE_LAMBDAS)
+
+
+def test_a_verified_run_leaves_no_work_function_alive(monkeypatch):
+    """The potential's memo of a work function dies with it: once a verified
+    lockstep run returns, no work function that update made is alive."""
+    inst = generate(GeneratorConfig("uniform_random", n=8), 1)
+    made = []
+    update = WorkFunction.update
+
+    def recorded(self, r):
+        wf = update(self, r)
+        made.append(weakref.ref(wf))
+        return wf
+
+    monkeypatch.setattr(WorkFunction, "update", recorded)
+    run_all(inst, NINE_LAMBDAS[:3], verify=True)
+    gc.collect()
+    # The run's 8 updates and the probe's 8.
+    assert len(made) == 16
+    assert [ref() for ref in made if ref() is not None] == []
