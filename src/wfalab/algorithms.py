@@ -108,7 +108,7 @@ def wfa_minimizers(wf_after: WorkFunction, current: ProductPoint, lam) -> list:
         fine, G = kit.refine(m, dtype, g)
         P = G[col]
         P[col < 0] = c
-        d = d + fine.dists(np.array([c], dtype=P.dtype), P)[0]
+        d = d + fine.dist(c, P)
         pos.append(P)
     if on < len(cands):
         W[on:] = wf_after._w_at(m, pos[0][on:], pos[1][on:])
@@ -200,9 +200,9 @@ class _Lane:
         self.lemma_failures = 0
         self.min_ratio = None
 
-    def step(self, wf: WorkFunction, wf_next: WorkFunction, nabla: Fraction,
-             deltas: tuple, shared, audit: bool) -> None:
-        """Serve wf_next's request from the current position."""
+    def step(self, shared, nabla: Fraction, audit: bool) -> None:
+        """Serve the request of shared's step from the current position."""
+        wf, wf_next = shared.wf_before, shared.wf_after
         instance, r, pos = wf.instance, wf_next.last_request, self.pos
         self.nabla_total += nabla
         ties = 1
@@ -226,14 +226,13 @@ class _Lane:
             phi_before = report.phi_before
             phi_after = report.phi_after
             self.lemma_failures += report.failures
-            if nabla > 0:
-                step_ratio = (phi_after - phi_before) / nabla
-                if self.min_ratio is None or step_ratio < self.min_ratio:
-                    self.min_ratio = step_ratio
+            if report.ratio is not None and (self.min_ratio is None
+                                             or report.ratio < self.min_ratio):
+                self.min_ratio = report.ratio
 
         move = instance.distance(pos, new_pos)
         self.total_cost += move
-        self.records.append(StepRecord(wf.i, r, pos, new_pos, move, nabla, *deltas,
+        self.records.append(StepRecord(wf.i, r, pos, new_pos, move, nabla, *shared.moves,
                                        ties, phi_before, phi_after, report))
         self.pos = new_pos
 
@@ -266,7 +265,7 @@ def run_all(instance: Instance, configs, verify: bool = False, potential="cnn",
     W after a request depends on the requests alone, so each step updates
     one work function for every config, takes the extended costs at all the
     configs' distinct accounting lambdas in one WorkFunction.extended_costs
-    pass, and verifies every config against one potential.SharedStep.
+    pass, and serves and verifies every config from one potential.SharedStep.
 
     An error is the one the lowest-index failing config raises when run
     alone, with that config as its `algorithm` attribute: configs after it
@@ -292,7 +291,6 @@ def run_all(instance: Instance, configs, verify: bool = False, potential="cnn",
                 break
 
     wf = initial(instance)
-    prev = RequestPoint(instance.origin.x, instance.origin.y)
     for j, r in enumerate(instance.requests):
         if not lanes:
             break
@@ -305,17 +303,16 @@ def run_all(instance: Instance, configs, verify: bool = False, potential="cnn",
             # Each lane alone would meet this error here, before its own.
             drop(0, _at_step(j, exc))
             break
-        deltas = (instance.distance_x(prev.x, r.x), instance.distance_y(prev.y, r.y))
         verified = {lane.acct_lam: nablas[lane.acct_lam]
                     for lane in lanes if lane.pcfg is not None}
-        shared = _potential.SharedStep(wf, wf_next, verified) if verified else None
+        shared = _potential.SharedStep(wf, wf_next, verified)
         for k, lane in enumerate(lanes):
             try:
-                lane.step(wf, wf_next, nablas[lane.acct_lam], deltas, shared, audit)
+                lane.step(shared, nablas[lane.acct_lam], audit)
             except WfalabError as exc:
                 drop(k, _at_step(j, exc))
                 break
-        wf, prev = wf_next, r
+        wf = wf_next
 
     traces = []
     for k, lane in enumerate(lanes):

@@ -159,16 +159,28 @@ def generate(gen: GeneratorConfig, seed: int, trial: int = 0) -> Instance:
     return Instance(space_x, space_y, pt(0, 0), reqs)
 
 
+_JSON_TYPES = {int: "integer", bool: "boolean", str: "string"}
+
+
+def _field(raw: dict, key: str, kind: type, default):
+    """raw[key], default when absent, which must be a JSON value of kind
+    (a JSON integer for int: no bool, float or string)."""
+    value = raw.get(key, default)
+    if type(value) is not kind:
+        raise ConfigError(f"{key} must be a JSON {_JSON_TYPES[kind]}, got {value!r}")
+    return value
+
+
 def generator_from_json(raw: dict) -> GeneratorConfig:
     if not isinstance(raw, dict) or "kind" not in raw:
         raise ConfigError("generator config must be an object with a kind")
     return GeneratorConfig(
         kind=raw["kind"],
-        m=int(raw.get("m", 0)),
-        n=int(raw.get("n", 0)),
-        coord_range=int(raw.get("range", 8)),
-        step_range=int(raw.get("stepRange", 2)),
-        size=int(raw.get("size", raw.get("k", 4))),
+        m=_field(raw, "m", int, 0),
+        n=_field(raw, "n", int, 0),
+        coord_range=_field(raw, "range", int, 8),
+        step_range=_field(raw, "stepRange", int, 2),
+        size=_field(raw, "size" if "size" in raw else "k", int, 4),
         weight_x=frac(raw.get("weightX", 1)),
         weight_y=frac(raw.get("weightY", 1)),
     )
@@ -258,12 +270,12 @@ def experiment_from_json(raw: dict) -> ExperimentConfig:
     return ExperimentConfig(
         generator=gen,
         algorithms=algorithms,
-        trials=int(raw.get("trials", 1)),
-        seed=int(raw.get("seed", 0)),
-        verify=bool(raw.get("verify", False)),
-        audit=bool(raw.get("audit", False)),
+        trials=_field(raw, "trials", int, 1),
+        seed=_field(raw, "seed", int, 0),
+        verify=_field(raw, "verify", bool, False),
+        audit=_field(raw, "audit", bool, False),
         potential=potential_from_json(raw.get("potential")),
-        out_dir=str(raw.get("outDir", "out")),
+        out_dir=_field(raw, "outDir", str, "out"),
     )
 
 

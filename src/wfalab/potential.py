@@ -15,16 +15,17 @@ the mathematics disagree somewhere.
 The minima of F, G and H, and the values the domination checks read, come
 from one integer kernel on the work function's own scale, kits and anchors:
 a _Frame, one config's F, G and H tables over a _Base, which holds what no
-config changes (the candidates' positions, W at them, their distances).  A
-verified step runs on grid indices and integer positions throughout, and
-builds points only for witnesses and reported values.  A frame evaluates F
-and G at broadcast index arrays of triples, with the anchors on a trailing
+config changes (the candidates' positions, W at them, their distances).
+Candidates are integer positions (_candidates; the audit's refined set adds
+the line midpoints at twice the scale), and a verified step builds points
+(_points) only for witnesses and reported values.  A frame evaluates F and
+G at broadcast index arrays of triples, with the anchors on a trailing
 axis.  The minima take rows (the first slot fixed) in blocks of a fixed
 number of entries, so a large frame never holds a cubic table.  Each live
 work function has one _Memo, in a weak-keyed map so that it dies with the
-work function: its candidates and their base, and per config its frame and
-minima, each built on first use.  The configs verified on a step share the
-base, and the minima after a step serve as those before the next.
+work function: its candidates' base, and per config its frame and minima,
+each built on first use.  The configs verified on a step share the base,
+and the minima after a step serve as those before the next.
 f_value, g_value, h_value and region_slack compute the same quantities in
 Fraction.  They are the public API and the exact oracle the tests hold the
 kernel to, and the audit's dense sweeps call them so that its check on the
@@ -474,35 +475,42 @@ def g_value(wf: WorkFunction, s1: ProductPoint, s2: ProductPoint,
 # Exact triple minimization
 
 
-def _cross(xs: np.ndarray, a: int, ys: np.ndarray, b: int) -> np.ndarray:
-    """(k, 2): the entries of the two lines through (xs[a], ys[b]), in
-    product_key order when xs and ys are sorted: the horizontal line left of
-    the crossing, the whole vertical line, then the rest of the horizontal
-    line."""
+def _candidates(wf: WorkFunction, m: int = 1) -> np.ndarray:
+    """Triple-minimization candidates as (k, 2) positions at m * wf.scale:
+    every point of the last request's two lines with coordinates from the
+    grid (full enumeration on finite axes) and, on a line axis, the points
+    that cut each gap between grid coordinates into m equal parts (m = 2:
+    the midpoints), in product_key order; the origin alone before any
+    request."""
+    axes = []
+    for kit, g, at in zip(wf.kits, (wf.gx, wf.gy), (wf.xr, wf.yr)):
+        if kit.kind == "finite":
+            axes.append((np.arange(len(kit.D)), int(g[at])))
+            continue
+        if m * int(np.abs(g).max()) >= _HEADROOM:
+            raise WfalabError("grid positions overflow the refined candidates")
+        # Column t of row k is t/m of the way from g[k] to g[k + 1].
+        t = np.arange(m)
+        fine = np.append((g[:-1, None] * (m - t) + g[1:, None] * t).ravel(), m * g[-1])
+        axes.append((fine, m * at))
+    (xs, a), (ys, b) = axes
+    if wf.last_request is None:
+        return np.array([[xs[a], ys[b]]])
+    # xs and ys are sorted, so product_key order is the horizontal line left
+    # of the crossing, the whole vertical line, then the rest.
     x = np.concatenate([xs[:a], np.full(len(ys), xs[a]), xs[a + 1:]])
     y = np.concatenate([np.full(a, ys[b]), ys, np.full(len(xs) - a - 1, ys[b])])
     return np.stack([x, y], axis=1)
 
 
-def _candidates(wf: WorkFunction) -> np.ndarray:
-    """Triple-minimization candidates as a (k, 2) index array: every point
-    of the last request's two lines with coordinates from the grid (full
-    enumeration on finite axes), in product_key order; the origin alone
-    before any request.  An index is a grid index on a line axis and a
-    point's own index on a finite one (_positions)."""
-    axes = [(np.arange(len(g)), at) if kit.kind == "line"
-            else (np.arange(len(kit.D)), int(g[at]))
-            for kit, g, at in zip(wf.kits, (wf.gx, wf.gy), (wf.xr, wf.yr))]
-    (xs, a), (ys, b) = axes
-    if wf.last_request is None:
-        return np.array([[a, b]])
-    return _cross(xs, a, ys, b)
-
-
-def _positions(wf: WorkFunction, idx: np.ndarray) -> np.ndarray:
-    """Positions at wf.scale of a (k, 2) candidate index array."""
-    return np.stack([g[col] if kit.kind == "line" else col
-                     for kit, g, col in zip(wf.kits, (wf.gx, wf.gy), idx.T)], axis=1)
+def _points(wf: WorkFunction, P: np.ndarray) -> tuple:
+    """The points at (n, 2) positions P at wf.scale; on a line axis each
+    position is one of the grid's."""
+    cols = [[coords[k] for k in g.searchsorted(col).tolist()] if kit.kind == "line"
+            else [IndexPoint(q) for q in col.tolist()]
+            for kit, g, coords, col in zip(wf.kits, (wf.gx, wf.gy),
+                                            (wf.grid.xs, wf.grid.ys), P.T)]
+    return tuple(ProductPoint(x, y) for x, y in zip(*cols))
 
 
 def _kernel_dtype(w_max: int, reach: int, cfg: PotentialConfig):
@@ -519,8 +527,8 @@ def _kernel_dtype(w_max: int, reach: int, cfg: PotentialConfig):
 
 class _Base:
     """What a frame holds that no config changes, at scale m * wf.scale: the
-    candidates' positions P, a (k, 2) array (on a line read from wf.gx, wf.gy
-    or, m = 2, sums of two of them; on a finite axis a point's index), W at
+    candidates' positions P, a (k, 2) array (on a finite axis a point's
+    index; on a line in the grid's hull, as _candidates gives them), W at
     them (exact: the anchors dominate every configuration), their distances
     D, the anchors' values GW, each axis's (kit, candidate positions, anchor
     positions), and the bounds w_max and reach; int64 where those allow."""
@@ -543,7 +551,7 @@ class _Base:
         (kx, X, _), (ky, Y, _) = self.axes
         self.GW = av.astype(dtype) * m
         self.W = wf._w_at(m, X, Y).astype(dtype, copy=False)
-        self.D = kx.dists(X, X) + ky.dists(Y, Y)
+        self.D = kx.dist(X[:, None], X) + ky.dist(Y[:, None], Y)
 
 
 class _Frame:
@@ -677,22 +685,13 @@ def _min_h_frame(fr: _Frame) -> tuple:
     return Fraction(int(fr.HT[i, j]), fr.h_den), (i, j)
 
 
-def _index_points(wf: WorkFunction, idx: np.ndarray) -> tuple:
-    """The points at (n, 2) candidate index rows, read from the grid."""
-    xs, ys = (coords if kit.kind == "line"
-              else [IndexPoint(j) for j in range(len(kit.D))]
-              for kit, coords in zip(wf.kits, (wf.grid.xs, wf.grid.ys)))
-    return tuple(ProductPoint(xs[a], ys[b]) for a, b in idx.tolist())
-
-
 class _Memo:
-    """A work function's candidates (idx, as index rows), their base, and
-    per config its frame and its minima, each built on first use.  It holds
-    no reference to the work function, so its entry in _memos dies with it."""
+    """A work function's candidates' base, and per config its frame and its
+    minima, each built on first use.  It holds no reference to the work
+    function, so its entry in _memos dies with it."""
 
     def __init__(self, wf: WorkFunction):
-        self.idx = _candidates(wf)
-        self.base = _Base(wf, 1, _positions(wf, self.idx))
+        self.base = _Base(wf, 1, _candidates(wf))
         self.frames, self.minima = {}, {}
 
 
@@ -712,7 +711,7 @@ def _minimum(wf: WorkFunction, cfg: PotentialConfig, kernel) -> tuple:
     memo, fr = _frame(wf, cfg)
     if (cfg, kernel) not in memo.minima:
         v, rows = kernel(fr)
-        memo.minima[cfg, kernel] = v, _index_points(wf, memo.idx[list(rows)]), rows
+        memo.minima[cfg, kernel] = v, _points(wf, fr.P[list(rows)]), rows
     return memo.minima[cfg, kernel]
 
 
@@ -807,8 +806,8 @@ def _domination_samples(wf: WorkFunction) -> tuple:
     _SAMPLE_BLOCK cells, up to the block holding the sixth sample."""
     kx, ky = wf.kits
     xr, yr, ny = wf.xr, wf.yr, len(wf.gy)
-    dx = kx.dists(wf.gx[xr:xr + 1], wf.gx)[0]
-    dy = ky.dists(wf.gy[yr:yr + 1], wf.gy)[0]
+    dx = kx.dist(wf.gx[xr], wf.gx)
+    dy = ky.dist(wf.gy[yr], wf.gy)
     # Row-major cell order is the grid points' product_key order.  Off-line
     # cell k is (a, b) = (i + (i >= xr), j + (j >= yr)) for (i, j) =
     # divmod(k, ny - 1), and it is dominated by (xr, b) or (a, yr) when W is
@@ -881,11 +880,11 @@ def _dominate_checks(wf: WorkFunction, cfg: PotentialConfig,
 
 
 def _domination_candidates_check(wf_before: WorkFunction, wf_after: WorkFunction,
-                                 P: np.ndarray, idx: np.ndarray, rows: list) -> CheckResult:
+                                 P: np.ndarray, rows: list) -> CheckResult:
     """Minimizer points sharing a coordinate with the new request must be
     dominated, against the previous work function, by the single candidate
     on the previous request.  rows lists the minimizers' rows of wf_after's
-    candidates idx, at positions P, in product_key order."""
+    candidates, at positions P, in product_key order."""
     nx, ny = wf_after.gx[wf_after.xr], wf_after.gy[wf_after.yr]
     px, py = wf_before.gx[wf_before.xr], wf_before.gy[wf_before.yr]
     pairs = []  # (row of s, position of its dominating candidate t)
@@ -901,37 +900,34 @@ def _domination_candidates_check(wf_before: WorkFunction, wf_after: WorkFunction
         S = P[s]
         kx, ky = wf_before.kits
         W = wf_before._w_at(1, np.append(S[:, 0], tx), np.append(S[:, 1], ty))
-        d = kx.dists(tx, S[:, 0]).diagonal() + ky.dists(ty, S[:, 1]).diagonal()
-        bad = list(_index_points(wf_after, idx[s[W[:len(s)] != W[len(s):] + d]]))
+        d = kx.dist(tx, S[:, 0]) + ky.dist(ty, S[:, 1])
+        bad = list(_points(wf_after, S[W[:len(s)] != W[len(s):] + d]))
     note = "" if not bad else f"undominated minimizer points: {bad}"
     return CheckResult("domination_candidates", not bad, note=note)
 
 
 class SharedStep:
-    """What verifying the transition from wf_before to wf_after needs that
-    no config changes, for configs at the lambdas of nablas (which maps each
-    to the step's extended cost): how far the request moved, the domination
-    samples of wf_after, and the Lipschitz probe's perturbed work functions
-    with their extended costs (one WorkFunction.extended_costs pass for
-    every lambda).  Each part is computed on first use, so a config meets an
-    error there where it would verifying alone."""
+    """What serving and verifying the transition from wf_before to wf_after
+    needs that no algorithm or config changes, for configs at the lambdas of
+    nablas (which maps each to the step's extended cost): how far the
+    request moved, the domination samples of wf_after, and the Lipschitz
+    probe's perturbed work functions with their extended costs (one
+    WorkFunction.extended_costs pass for every lambda).  Each part is
+    computed on first use, so a config meets an error there where it would
+    verifying alone."""
 
     def __init__(self, wf_before: WorkFunction, wf_after: WorkFunction, nablas: dict):
         self.wf_before, self.wf_after = wf_before, wf_after
         self.nablas = nablas
 
     @cached_property
-    def deltas(self) -> tuple:
-        """(delta max, delta min, swapped): the request's moves along the two
-        axes, the larger first; swapped when that is y's."""
+    def moves(self) -> tuple:
+        """(delta x, delta y): the request's moves along the two axes from
+        the request before it (the origin before the first)."""
         inst = self.wf_before.instance
-        r_prev = self.wf_before.last_request
-        if r_prev is None:
-            r_prev = RequestPoint(inst.origin.x, inst.origin.y)
+        r_prev = self.wf_before.last_request or inst.origin
         r_next = self.wf_after.last_request
-        dx = inst.distance_x(r_prev.x, r_next.x)
-        dy = inst.distance_y(r_prev.y, r_next.y)
-        return (dy, dx, True) if dx < dy else (dx, dy, False)
+        return inst.distance_x(r_prev.x, r_next.x), inst.distance_y(r_prev.y, r_next.y)
 
     @cached_property
     def samples(self) -> tuple:
@@ -945,7 +941,8 @@ class SharedStep:
         None when the minor axis is finite."""
         wf_before, r_next = self.wf_before, self.wf_after.last_request
         inst = wf_before.instance
-        minor_is_y = not self.deltas[2]
+        dx, dy = self.moves
+        minor_is_y = dy <= dx
         if inst._axes[1 if minor_is_y else 0].kind != "line":
             return None
         eps = Fraction(1, 32)
@@ -996,24 +993,6 @@ def _lipschitz_probe(shared: SharedStep, cfg: PotentialConfig, nabla: Fraction,
     ]
 
 
-def _refined_candidates(wf: WorkFunction) -> np.ndarray:
-    """Positions at twice wf.scale of the base candidates plus the midpoints
-    between consecutive grid coordinates along each line axis of the last
-    request, as a (k, 2) array in product_key order."""
-    axes = []
-    for kit, g, at in zip(wf.kits, (wf.gx, wf.gy), (wf.xr, wf.yr)):
-        if kit.kind == "finite":
-            axes.append((np.arange(len(kit.D)), int(g[at])))
-            continue
-        if int(np.abs(g).max()) >= _HEADROOM // 2:
-            raise WfalabError("grid positions overflow the refined candidates")
-        fine = np.empty(2 * len(g) - 1, dtype=np.int64)
-        fine[0::2], fine[1::2] = 2 * g, g[:-1] + g[1:]
-        axes.append((fine, 2 * at))
-    (xs, a), (ys, b) = axes
-    return _cross(xs, a, ys, b)
-
-
 def _dense_line_points(wf: WorkFunction, around: ProductPoint) -> list:
     """Step-1/16 sweeps of both lines of the last request, windowed near
     the given point when the grid hull is wide."""
@@ -1045,7 +1024,7 @@ def _audit(wf_after: WorkFunction, cfg: PotentialConfig, mf: Fraction,
     for F (and for G on small grids); dense step-1/16 sweeps vary one triple
     slot at a time around each winner.  Any strict improvement raises.
     """
-    fr = _Frame(_Base(wf_after, 2, _refined_candidates(wf_after)), cfg)
+    fr = _Frame(_Base(wf_after, 2, _candidates(wf_after, 2)), cfg)
     for label, kernel, best in (("F", _min_f_frame, mf), ("G", _min_g_frame, mg)):
         v = kernel(fr)[0]
         if v != best:
@@ -1097,23 +1076,20 @@ def verify_step(wf_before: WorkFunction, wf_after: WorkFunction,
     lam = cfg.triple_param
     shared = _shared or SharedStep(
         wf_before, wf_after, {lam: wf_before.extended_cost(r_next, lam)[0]})
-    dmax, dmin, swapped = shared.deltas
+    dx, dy = shared.moves
+    # The larger move first; swapped when that is y's.
+    dmax, dmin, swapped = (dy, dx, True) if dx < dy else (dx, dy, False)
     nabla = shared.nablas[lam]
 
     consts = cfg.constants()
-    mf1, _tf1 = min_f(wf_before, cfg)
-    mg1, _tg1 = min_g(wf_before, cfg)
-    mf2, tf2 = min_f(wf_after, cfg)
-    mg2, tg2 = min_g(wf_after, cfg)
-    mh2, _ = min_h(wf_after, cfg)
+    mf1, mg1 = min_f(wf_before, cfg)[0], min_g(wf_before, cfg)[0]
+    mf2, tf2, f_rows = _minimum(wf_after, cfg, _min_f_frame)
+    mg2, tg2, g_rows = _minimum(wf_after, cfg, _min_g_frame)
+    mh2 = min_h(wf_after, cfg)[0]
+    phi1, phi2 = phi(wf_before, cfg), phi(wf_after, cfg)
     # wf_after's frame holds the witnesses' positions and H, by row.
-    memo, fr = _frame(wf_after, cfg)
-    f_idx = _minimum(wf_after, cfg, _min_f_frame)[2]
-    g_idx = _minimum(wf_after, cfg, _min_g_frame)[2]
-    w = cfg.weight
-    phi1 = (1 - w) * mf1 + w * mg1
-    phi2 = (1 - w) * mf2 + w * mg2
-    case = "A" if len(set(f_idx)) <= 2 else "B"
+    fr = _frame(wf_after, cfg)[1]
+    case = "A" if len(set(f_rows)) <= 2 else "B"
 
     checks = []
     if wf_before.i == 0:
@@ -1124,7 +1100,7 @@ def verify_step(wf_before: WorkFunction, wf_after: WorkFunction,
         "minimum_in_r", all(serves(p, r_next) for p in (*tf2, *tg2)),
         note="F and G minimizers must serve the new request"))
 
-    checks.extend(_dominate_checks(wf_after, cfg, fr.P[list(f_idx)], shared.samples))
+    checks.extend(_dominate_checks(wf_after, cfg, fr.P[list(f_rows)], shared.samples))
 
     checks.append(CheckResult("chain_f_g_h", mf2 <= mg2 <= mh2, mf2, mh2,
                               min(mg2 - mf2, mh2 - mg2)))
@@ -1160,11 +1136,11 @@ def verify_step(wf_before: WorkFunction, wf_after: WorkFunction,
     checks.append(CheckResult("phi_increase", lhs >= rhs, lhs, rhs, lhs - rhs))
     ratio = lhs / nabla if nabla > 0 else None
 
-    checks.append(_domination_candidates_check(wf_before, wf_after, fr.P, memo.idx,
-                                               sorted(set(f_idx + g_idx))))
+    checks.append(_domination_candidates_check(wf_before, wf_after, fr.P,
+                                               sorted(set(f_rows + g_rows))))
 
     if (tg2[0].x == tg2[1].x == tg2[2].x) or (tg2[0].y == tg2[1].y == tg2[2].y):
-        g = np.array(g_idx)
+        g = np.array(g_rows)
         best_h = Fraction(int(fr.HT[g[:, None], g].min()), fr.h_den)
         checks.append(CheckResult("convex_containment", best_h <= mg2,
                                   best_h, mg2, mg2 - best_h,
@@ -1178,4 +1154,4 @@ def verify_step(wf_before: WorkFunction, wf_after: WorkFunction,
 
     return LemmaReport(wf_before.i, case, nabla, dmax, dmin, swapped,
                        phi1, phi2, ratio, tuple(checks),
-                       {**consts, "weight": w})
+                       {**consts, "weight": cfg.weight})

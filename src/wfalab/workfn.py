@@ -98,16 +98,16 @@ class _AxisKit:
 
     A position is a line point's weighted coordinate times the scale, or a
     finite point's index into the scaled table; either sorts like the points.
-    Coordinates and table entries are int64; refine copies them to Python
-    ints (object) for callers whose bound shows int64 could overflow.  On a
-    finite space near[p] lists every point by distance from p, ties by index.
+    Positions and table entries are int64; refine takes them to a multiple
+    of the scale, and to Python ints (object) for callers whose bound shows
+    int64 could overflow.  On a finite space near[p] lists every point by
+    distance from p, ties by index.
     """
 
     def __init__(self, resolved: ResolvedAxis, scale: int):
         self.kind = resolved.kind
         self.weight = resolved.weight
         self.scale = scale
-        self.dtype = np.int64
         if self.kind == "finite":
             self.D = np.array(
                 [[scaled_int(self.weight * e, scale) for e in row]
@@ -121,23 +121,16 @@ class _AxisKit:
         if self.kind == "line":
             return np.array(
                 [scaled_int(p.value * self.weight, self.scale) for p in points],
-                dtype=self.dtype)
+                dtype=np.int64)
         return np.array([p.index for p in points], dtype=np.int64)
 
-    def dists(self, apos: np.ndarray, bpos: np.ndarray) -> np.ndarray:
-        if self.kind == "line":
-            d = apos[:, None] - bpos[None, :]
-            return np.abs(d, out=d)
-        return self.D[apos[:, None], bpos]
-
-    def row_dists(self, P: np.ndarray, z: np.ndarray) -> np.ndarray:
-        """[l, i, k]: the distance between P[l, i] and z[l, k], row l's
-        positions at its own multiple of the scale; on a finite space P is
-        one row of indices and z the points, and the result has one row."""
-        if self.kind == "line":
-            d = P[:, :, None] - z[:, None, :]
-            return np.abs(d, out=d)
-        return self.D[P[..., None], z]
+    def dist(self, a, b):
+        """The distance between positions a and b, elementwise under numpy
+        broadcasting: numbers, or arrays of any shapes that broadcast."""
+        if self.kind == "finite":
+            return self.D[a, b]
+        d = a - b
+        return np.abs(d, out=d) if isinstance(d, np.ndarray) else abs(d)
 
     def span(self, pos: np.ndarray) -> int:
         """An upper bound on the distance between two of the positions."""
@@ -160,15 +153,17 @@ class _AxisKit:
         return IndexPoint(int(q))
 
     def refine(self, m: int, dtype, pos: np.ndarray) -> tuple:
-        """This kit at m times the scale in dtype, and its positions pos in it."""
-        if m == 1 and dtype is self.dtype:
+        """This kit at m times the scale in dtype, and its positions pos in
+        it.  A line's positions scale; a finite space's stay indices and its
+        table scales, so only a finite kit is copied."""
+        if self.kind == "line":
+            pos = pos.astype(dtype, copy=False)
+            return self, pos * m if m > 1 else pos
+        if m == 1 and self.D.dtype == dtype:
             return self, pos
         fine = copy.copy(self)
-        fine.scale, fine.dtype = self.scale * m, dtype
-        if self.kind == "finite":
-            fine.D = self.D.astype(dtype) * m
-            return fine, pos
-        return fine, pos.astype(dtype) * m
+        fine.D = self.D.astype(dtype) * m
+        return fine, pos
 
     def peaks(self, P: np.ndarray, envelopes) -> np.ndarray:
         """Positions where a difference of lower envelopes of cones can peak:
@@ -272,8 +267,8 @@ class WorkFunction:
         av = self.lines
         kx, ky = self.kits
         px, py = self.gx[cx], self.gy[cy]
-        t = kx.dists(px, px)
-        t += ky.dists(py, py)
+        t = kx.dist(px[:, None], px)
+        t += ky.dist(py[:, None], py)
         t += av[:, None]
         dominated = t <= av[None, :]
         np.fill_diagonal(dominated, False)
@@ -331,7 +326,7 @@ class WorkFunction:
         W = av.astype(dtype)[:, None] * m
         for kit, g, P in axes:
             fine, G = kit.refine(m, dtype, g)
-            W = W + fine.dists(G, P)
+            W = W + fine.dist(G[:, None], P)
         return W.min(axis=0)
 
     def evaluate(self, s: ProductPoint) -> Fraction:
@@ -357,17 +352,17 @@ class WorkFunction:
             raise RequestIndexError(
                 f"request {r} is not request #{self.i} of the instance")
         kx, ky = self.kits
-        rx, ry = kx.pos([r.x]), ky.pos([r.y])
-        xs, gx, xr = _added(self.grid.xs, self.gx, r.x, rx[0])
-        ys, gy, yr = _added(self.grid.ys, self.gy, r.y, ry[0])
+        rx, ry = kx.pos([r.x])[0], ky.pos([r.y])[0]
+        xs, gx, xr = _added(self.grid.xs, self.gx, r.x, rx)
+        ys, gy, yr = _added(self.grid.ys, self.gy, r.y, ry)
         cx, cy, av = self._anchor_cells
         # Every sum below is an anchor value plus at most two distances per
         # axis between new-grid positions.
         if int(av.max()) + 2 * (kx.span(gx) + ky.span(gy)) >= _HEADROOM:
             raise WfalabError("work-function values overflow the integer kernel")
         apx, apy = self.gx[cx], self.gy[cy]
-        on_v = ((av + kx.dists(apx, rx)[:, 0])[:, None] + ky.dists(apy, gy)).min(axis=0)
-        on_h = ((av + ky.dists(apy, ry)[:, 0])[:, None] + kx.dists(apx, gx)).min(axis=0)
+        on_v = ((av + kx.dist(apx, rx))[:, None] + ky.dist(apy[:, None], gy)).min(axis=0)
+        on_h = ((av + ky.dist(apy, ry))[:, None] + kx.dist(apx[:, None], gx)).min(axis=0)
         # W is 1-Lipschitz, so W after r is on_v on x = r.x and on_h on y = r.y.
         lines = np.concatenate([on_v, np.delete(on_h, xr)])
         return WorkFunction(inst, self.i + 1, Grid(xs, ys), r, lines, self.scale,
@@ -445,7 +440,7 @@ class WorkFunction:
         per line: row l of the pass is lams[l] at its own scale."""
         lams = [_param_value(lam) for lam in lams]
         kx, ky = self.kits
-        nxt = (kx.pos([r_next.x]), ky.pos([r_next.y]))
+        nxt = (kx.pos([r_next.x])[0], ky.pos([r_next.y])[0])
         return [min(pair, key=lambda vw: (-vw[0], product_key(vw[1])))
                 for pair in zip(self._line_max("x", nxt, lams),
                                 self._line_max("y", nxt, lams))]
@@ -454,19 +449,19 @@ class WorkFunction:
         """max of f - g (module docstring), with its witness, for each lam in
         lams on the last request's line whose `fixed` coordinate is the
         request's; u is that axis, v the other.  nxt holds the next request's
-        positions, one array per axis.  Row l works at m = 2 * num(lams[l])
+        positions, one per axis.  Row l works at m = 2 * num(lams[l])
         times the scale, and f at den(lams[l]) times that."""
         cx, cy, w = self._anchor_cells
         axes = [(self.kits[0], self.gx, cx, self.grid.xs[self.xr], self.xr, nxt[0]),
                 (self.kits[1], self.gy, cy, self.grid.ys[self.yr], self.yr, nxt[1])]
         (ku, gu, cu, u_prev, ru, u_next), (kv, gv, cv, _, _, v_next) = (
             axes if fixed == "x" else axes[::-1])
-        upos = np.concatenate([gu[ru:ru + 1], u_next])
-        du = ku.dists(gu[cu], upos)  # columns: to r_prev.u, to r_next.u
-        shift = int(ku.dists(upos, upos)[1, 0])
+        upos = np.array([gu[ru], u_next])
+        du = ku.dist(gu[cu][:, None], upos)  # columns: to r_prev.u, to r_next.u
+        shift = int(ku.dist(u_next, gu[ru]))
         apv = gv[cv]
-        vpos = np.concatenate([apv, v_next])  # the cone apexes, r_next.v's last
-        dv = kv.dists(apv, vpos[-1:])[:, 0]
+        vpos = np.append(apv, v_next)  # the cone apexes, r_next.v's last
+        dv = kv.dist(apv, v_next)
         # Every term of row l is under q * m * big in magnitude, every
         # difference under twice that; positions enter the crossings, spans
         # the sums.
@@ -490,7 +485,7 @@ class WorkFunction:
                                 (mq * (w + dv) + mp * du0).min(axis=1, keepdims=True)],
                                axis=1)
         z = kv.peaks(V, [(len(apv), g_off, 1), (len(vpos), f_off, p)])
-        d = kv.row_dists(V, z).astype(dtype, copy=False)
+        d = kv.dist(V[..., None], z[..., None, :]).astype(dtype, copy=False)
         g = (g_off[:, :, None] + d[:, :-1]).min(axis=1)
         f = (f_off[:, :, None]
              + d * (p[:, :, None] if isinstance(p, np.ndarray) else p)).min(axis=1)

@@ -169,6 +169,49 @@ def test_experiment_parsing_rejects_bad_fields():
         experiment_from_json({})
 
 
+# Each batch field of a JSON type, given a value of another, and the field
+# the error must name.
+MISTYPED = [
+    ({"verify": "false"}, "verify"),
+    ({"audit": 1}, "audit"),
+    ({"trials": 1.9}, "trials"),
+    ({"trials": True}, "trials"),
+    ({"seed": "9"}, "seed"),
+    ({"outDir": 5}, "outDir"),
+    ({"generator": {"kind": "uniform_random", "n": "abc"}}, "n"),
+    ({"generator": {"kind": "uniform_random", "n": 3, "range": 2.5}}, "range"),
+    ({"generator": {"kind": "example", "m": False}}, "m"),
+    ({"generator": {"kind": "random_walk", "n": 3, "stepRange": "2"}}, "stepRange"),
+    ({"generator": {"kind": "finite_uniform", "n": 3, "size": 4.0}}, "size"),
+    ({"generator": {"kind": "finite_uniform", "n": 3, "k": True}}, "k"),
+]
+
+
+def _mistyped_id(fields, name) -> str:
+    value = fields.get(name, fields.get("generator", {}).get(name))
+    return f"{name}:{type(value).__name__}"
+
+
+@pytest.mark.parametrize("fields,name", MISTYPED,
+                         ids=[_mistyped_id(*case) for case in MISTYPED])
+def test_mistyped_config_fields_are_refused(tmp_path, fields, name):
+    """A config field given a value of the wrong JSON type is refused,
+    naming the field, rather than coerced; the CLI exits 1 and writes
+    nothing."""
+    raw = {"generator": {"kind": "uniform_random", "n": 3},
+           "algorithms": [{"kind": "wfa", "lambda": "1/2"}], **fields}
+    with pytest.raises(ConfigError, match=f"^{name} must be a JSON "):
+        experiment_from_json(raw)
+    path = tmp_path / "batch.json"
+    path.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        assert cli.main(["run", "--config", str(path), "--out-dir", str(out)]) == 1
+    assert err.getvalue().startswith(f"config error: {name} must be")
+    assert not out.exists()
+
+
 def test_experiment_parsing_accepts_explicit_potential():
     cfg = experiment_from_json({
         "generator": {"kind": "uniform_random", "n": 3},

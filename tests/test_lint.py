@@ -1,11 +1,14 @@
 """Source rules that no unit test would catch."""
 
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
 import wfalab
 
-SRC = Path(__file__).parent.parent / "src" / "wfalab"
+ROOT = Path(__file__).parent.parent
+SRC = ROOT / "src" / "wfalab"
 
 
 def test_no_assert_statements_in_the_package():
@@ -85,3 +88,20 @@ def test_no_cache_keyed_on_a_work_function():
              if a.annotation is not None
              and ast.unparse(a.annotation).strip("'\"") == "WorkFunction"]
     assert not found, found
+
+
+def test_traced_benchmark_names_exist():
+    """bench/run.py --trace 1 wraps each (module, attribute) of bench/spans.py's
+    SPANNED, COUNTED and SIZED tables, "Class.method" included; a name the
+    package no longer has breaks the traced benchmark and nothing else."""
+    spec = importlib.util.spec_from_file_location("bench_spans", ROOT / "bench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    missing = []
+    for module, attr, name in spans.SPANNED + spans.COUNTED + spans.SIZED:
+        owner = importlib.import_module(module)
+        for part in attr.split("."):
+            owner = getattr(owner, part, None)
+        if not callable(owner):
+            missing.append(f"{module}.{attr} ({name})")
+    assert not missing, missing

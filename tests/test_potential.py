@@ -21,8 +21,7 @@ from wfalab.harness import GeneratorConfig, generate
 from wfalab.potential import (Boks, CnnPotential, GeneralPotential, Spheres,
                               _audit, _Base, _candidates,
                               _domination_samples, _Frame, _min_f_frame,
-                              _min_g_frame, _positions,
-                              _refined_candidates, config_from_json,
+                              _min_g_frame, _points, config_from_json,
                               config_to_json, default_constants, f_value,
                               g_value, h_value, min_f, min_g, min_h, phi,
                               region_membership, region_slack, verify_step)
@@ -310,7 +309,7 @@ def test_frame_rows_match_the_fraction_oracle(maker):
         inst = wide_instance()
         lam = Fraction(997, 1000)
     wf = run_to_end(inst)
-    P = _refined_candidates(wf)
+    P = _candidates(wf, 2)
     cands = position_points(wf, 2, P)
     assert cands == refined_fraction_candidates(wf)
     for variant in ("cnn", "general"):
@@ -339,8 +338,7 @@ def test_triple_minima_hold_no_cubic_table():
     under a quarter of a k x k x k int64 table."""
     inst = generate(GeneratorConfig("uniform_random", n=80, coord_range=1000), 1)
     wf = run_to_end(inst)
-    fr = _Frame(_Base(wf, 1, _positions(wf, _candidates(wf))),
-                default_constants(HALF))
+    fr = _Frame(_Base(wf, 1, _candidates(wf)), default_constants(HALF))
     k = len(fr.P)
     assert k >= 160
     for kernel in (_min_f_frame, _min_g_frame):
@@ -505,22 +503,21 @@ def steps(inst):
         wf = nxt
 
 
-@pytest.mark.parametrize("maker", [plane_instance, weighted_instance,
-                                   finite_instance, mixed_instance])
+@pytest.mark.parametrize("maker", [
+    plane_instance, weighted_instance, finite_instance, mixed_instance,
+    pytest.param(lambda rng, n: wide_instance(), id="wide_instance")])
 def test_candidates_are_the_sorted_request_lines(maker):
-    """Each candidate index, read as a grid coordinate on a line axis and a
-    point index on a finite one, and each candidate position, read back as a
-    point, is the sorted request lines' point in its place."""
+    """Each candidate position, read back as a point in Fraction and by
+    _points, is the sorted request lines' point in its place; at m = 2 the
+    positions are the audit's refined set, midpoints included."""
     inst = maker(random.Random(77), 6)
     for _, wf, _ in steps(inst):
-        idx = _candidates(wf)
+        P = _candidates(wf)
         want = triple_candidates(wf)
-        xs, ys = (coords if kit.kind == "line"
-                  else [IndexPoint(j) for j in range(len(kit.D))]
-                  for kit, coords in zip(wf.kits, (wf.grid.xs, wf.grid.ys)))
-        assert len(idx) == len(want)
-        assert [ProductPoint(xs[a], ys[b]) for a, b in idx.tolist()] == want
-        assert position_points(wf, 1, _positions(wf, idx)) == want
+        assert P.shape == (len(want), 2)
+        assert position_points(wf, 1, P) == want
+        assert list(_points(wf, P)) == want
+        assert position_points(wf, 2, _candidates(wf, 2)) == refined_fraction_candidates(wf)
 
 
 def fraction_samples(wf, r, W=None):

@@ -4,6 +4,7 @@ import random
 import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -12,9 +13,10 @@ from wfalab import (ConfigError, EmptySetError, Instance, ProductPoint,
                     RealLine, RealPoint, RequestIndexError, Scaled, cone,
                     cone_envelope, idx, initial, instance_scale,
                     max_difference, pointwise_min, pt, request, serves)
-from wfalab.metric import IndexPoint, product_key
+from wfalab.metric import FiniteMatrix, IndexPoint, product_key
 from wfalab.offline import dense_slack_max
 from wfalab.problem import grid_after, grid_points_on
+from wfalab.workfn import _AxisKit
 
 from conftest import (finite_instance, grid_values, mixed_instance,
                       plane_instance, quarter, weighted_instance,
@@ -369,6 +371,41 @@ def test_extended_costs_are_each_lambda_alone(kind):
     for r in inst.requests:
         assert wf.extended_costs(r, lams) == [wf.extended_cost(r, lam) for lam in lams]
         wf = wf.update(r)
+
+
+@pytest.mark.parametrize("kind", ["plane", "weighted", "finite", "wide"])
+def test_axis_kit_distance_broadcasts(kind):
+    """_AxisKit.dist on x-axis positions is the Fraction distance times the
+    positions' scale, between two numbers and between arrays broadcast to
+    one, two and three dimensions.  The wide instance's grid positions are
+    taken by refine to Python ints at 2**40 times the scale, past int64."""
+    m = 1
+    if kind == "finite":
+        table = [[abs(i - j) for j in range(4)] for i in range(4)]
+        space = Scaled(FiniteMatrix(table), Fraction(2, 3))
+        inst = Instance(space, RealLine(), ProductPoint(idx(0), RealPoint(0)), ())
+        wf = initial(inst)
+        kit, points = wf.kits[0], [IndexPoint(j) for j in range(4)]
+        P = np.arange(4)
+    else:
+        inst = {"plane": plane_instance(random.Random(83), 6),
+                "weighted": weighted_instance(random.Random(83), 6, wx=3, wy=1),
+                "wide": wide_instance()}[kind]
+        wf = run_to_end(inst)
+        kit, points, P = wf.kits[0], wf.grid.xs, wf.gx
+        if kind == "wide":
+            m = 2 ** 40
+            kit, P = kit.refine(m, object, P)
+            assert P.dtype == object and int(abs(P).max()) >= 2 ** 63
+    assert isinstance(kit, _AxisKit)
+    d = [[inst.distance_x(a, b) * wf.scale * m for b in points] for a in points]
+    n = len(points)
+    assert kit.dist(P[0], P[-1]) == d[0][-1]
+    assert kit.dist(P, P[1]).tolist() == [row[1] for row in d]
+    assert kit.dist(P[:, None], P).tolist() == d
+    both = kit.dist(np.stack([P, P[::-1]])[:, :, None], P[None, None, :])
+    assert both.shape == (2, n, n)
+    assert both.tolist() == [d, d[::-1]]
 
 
 def all_configs(size):
