@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Tuple, Union
 
 from .algorithms import AlgorithmConfig, RunTrace, StepRecord, run, run_all
-from .errors import ConfigError, WfalabError
+from .errors import ConfigError, ExactnessError, WfalabError
 from .exact import frac
 from .metric import (FiniteMatrix, ProductPoint, RealLine, Scaled, idx,
                      point_to_json, pt)
@@ -70,6 +70,11 @@ class GeneratorConfig:
     def __post_init__(self) -> None:
         if self.kind not in GENERATOR_KINDS:
             raise ConfigError(f"unknown generator kind {self.kind!r}")
+        # type() rather than isinstance: a bool is not a count.
+        for name in ("m", "n", "coord_range", "step_range", "size"):
+            value = getattr(self, name)
+            if type(value) is not int:
+                raise ConfigError(f"{name} must be an int, got {value!r}")
         object.__setattr__(self, "weight_x", frac(self.weight_x))
         object.__setattr__(self, "weight_y", frac(self.weight_y))
         if self.kind == "example":
@@ -159,7 +164,7 @@ def generate(gen: GeneratorConfig, seed: int, trial: int = 0) -> Instance:
     return Instance(space_x, space_y, pt(0, 0), reqs)
 
 
-_JSON_TYPES = {int: "integer", bool: "boolean", str: "string"}
+_JSON_TYPES = {int: "integer", bool: "boolean", str: "string", list: "array"}
 
 
 def _field(raw: dict, key: str, kind: type, default):
@@ -169,6 +174,14 @@ def _field(raw: dict, key: str, kind: type, default):
     if type(value) is not kind:
         raise ConfigError(f"{key} must be a JSON {_JSON_TYPES[kind]}, got {value!r}")
     return value
+
+
+def _rational(value, key: str) -> Fraction:
+    """value as a Fraction, or a ConfigError naming the field key."""
+    try:
+        return frac(value)
+    except ExactnessError as exc:
+        raise ConfigError(f"{key}: {exc}") from None
 
 
 def generator_from_json(raw: dict) -> GeneratorConfig:
@@ -181,8 +194,8 @@ def generator_from_json(raw: dict) -> GeneratorConfig:
         coord_range=_field(raw, "range", int, 8),
         step_range=_field(raw, "stepRange", int, 2),
         size=_field(raw, "size" if "size" in raw else "k", int, 4),
-        weight_x=frac(raw.get("weightX", 1)),
-        weight_y=frac(raw.get("weightY", 1)),
+        weight_x=_rational(raw.get("weightX", 1), "weightX"),
+        weight_y=_rational(raw.get("weightY", 1), "weightY"),
     )
 
 
@@ -220,10 +233,10 @@ class ExperimentConfig:
     out_dir: str = "out"
 
     def __post_init__(self) -> None:
-        if not isinstance(self.trials, int) or self.trials < 0:
-            raise ConfigError(f"trials must be a nonnegative int, got {self.trials}")
-        if not isinstance(self.seed, int) or self.seed < 0:
-            raise ConfigError(f"seed must be a nonnegative int, got {self.seed}")
+        for name in ("trials", "seed"):
+            value = getattr(self, name)
+            if type(value) is not int or value < 0:
+                raise ConfigError(f"{name} must be a nonnegative int, got {value!r}")
         object.__setattr__(self, "algorithms", tuple(self.algorithms))
         # A batch that cannot be verified fails here, before any run.
         for alg in self.algorithms if self.verify else ():
@@ -246,7 +259,7 @@ def _algorithms_from_json(raw_list, lambdas) -> tuple:
             raise ConfigError(f"bad algorithm entry {item!r}")
         if kind == "wfa":
             if lam is not None:
-                out.append(AlgorithmConfig("wfa", frac(lam)))
+                out.append(AlgorithmConfig("wfa", _rational(lam, "lambda")))
             elif lambdas:
                 out.extend(AlgorithmConfig("wfa", v) for v in lambdas)
             else:
@@ -265,8 +278,8 @@ def experiment_from_json(raw: dict) -> ExperimentConfig:
     if "generator" not in raw:
         raise ConfigError("experiment config needs a generator")
     gen = generator_from_json(raw["generator"])
-    lambdas = tuple(frac(v) for v in raw.get("lambdas", ()))
-    algorithms = _algorithms_from_json(raw.get("algorithms", ()), lambdas)
+    lambdas = tuple(_rational(v, "lambdas") for v in _field(raw, "lambdas", list, []))
+    algorithms = _algorithms_from_json(_field(raw, "algorithms", list, []), lambdas)
     return ExperimentConfig(
         generator=gen,
         algorithms=algorithms,

@@ -18,7 +18,8 @@ a _Frame, one config's F, G and H tables over a _Base, which holds what no
 config changes (the candidates' positions, W at them, their distances).
 Candidates are integer positions (_candidates; the audit's refined set adds
 the line midpoints at twice the scale), and a verified step builds points
-(_points) only for witnesses and reported values.  A frame evaluates F and
+(WorkFunction._points) only for witnesses and reported values; no kernel
+here reads the layout of the work function's lines.  A frame evaluates F and
 G at broadcast index arrays of triples, with the anchors on a trailing
 axis.  The minima take rows (the first slot fixed) in blocks of a fixed
 number of entries, so a large frame never holds a cubic table.  Each live
@@ -483,16 +484,16 @@ def _candidates(wf: WorkFunction, m: int = 1) -> np.ndarray:
     the midpoints), in product_key order; the origin alone before any
     request."""
     axes = []
-    for kit, g, at in zip(wf.kits, (wf.gx, wf.gy), (wf.xr, wf.yr)):
+    for kit, g, at in zip(wf.kits, (wf.gx, wf.gy), wf._at):
         if kit.kind == "finite":
-            axes.append((np.arange(len(kit.D)), int(g[at])))
+            axes.append((np.arange(len(kit.D)), at))
             continue
         if m * int(np.abs(g).max()) >= _HEADROOM:
             raise WfalabError("grid positions overflow the refined candidates")
         # Column t of row k is t/m of the way from g[k] to g[k + 1].
         t = np.arange(m)
         fine = np.append((g[:-1, None] * (m - t) + g[1:, None] * t).ravel(), m * g[-1])
-        axes.append((fine, m * at))
+        axes.append((fine, m * int(g.searchsorted(at))))
     (xs, a), (ys, b) = axes
     if wf.last_request is None:
         return np.array([[xs[a], ys[b]]])
@@ -501,16 +502,6 @@ def _candidates(wf: WorkFunction, m: int = 1) -> np.ndarray:
     x = np.concatenate([xs[:a], np.full(len(ys), xs[a]), xs[a + 1:]])
     y = np.concatenate([np.full(a, ys[b]), ys, np.full(len(xs) - a - 1, ys[b])])
     return np.stack([x, y], axis=1)
-
-
-def _points(wf: WorkFunction, P: np.ndarray) -> tuple:
-    """The points at (n, 2) positions P at wf.scale; on a line axis each
-    position is one of the grid's."""
-    cols = [[coords[k] for k in g.searchsorted(col).tolist()] if kit.kind == "line"
-            else [IndexPoint(q) for q in col.tolist()]
-            for kit, g, coords, col in zip(wf.kits, (wf.gx, wf.gy),
-                                            (wf.grid.xs, wf.grid.ys), P.T)]
-    return tuple(ProductPoint(x, y) for x, y in zip(*cols))
 
 
 def _kernel_dtype(w_max: int, reach: int, cfg: PotentialConfig):
@@ -535,7 +526,7 @@ class _Base:
 
     def __init__(self, wf: WorkFunction, m: int, P: np.ndarray):
         self.P, self.scale = P, m * wf.scale
-        cx, cy, av = wf._anchor_cells
+        ax, ay, av = wf._anchor_cells
         # On a line every candidate lies in the grid's hull (grid points and
         # midpoints between them), so the grid's positions bound every
         # position and distance in the frame; a finite axis's span is its
@@ -545,7 +536,7 @@ class _Base:
         self.w_max = m * int(av.max()) + self.reach
         dtype = _int_dtype(self.w_max + self.reach)
         self.axes = []
-        for kit, g, C in zip(wf.kits, (wf.gx[cx], wf.gy[cy]), P.T):
+        for kit, g, C in zip(wf.kits, (ax, ay), P.T):
             fine, G = kit.refine(m, dtype, g)
             self.axes.append((fine, C if kit.kind == "finite" else C.astype(dtype), G))
         (kx, X, _), (ky, Y, _) = self.axes
@@ -711,7 +702,7 @@ def _minimum(wf: WorkFunction, cfg: PotentialConfig, kernel) -> tuple:
     memo, fr = _frame(wf, cfg)
     if (cfg, kernel) not in memo.minima:
         v, rows = kernel(fr)
-        memo.minima[cfg, kernel] = v, _points(wf, fr.P[list(rows)]), rows
+        memo.minima[cfg, kernel] = v, wf._points(*fr.P[list(rows)].T), rows
     return memo.minima[cfg, kernel]
 
 
@@ -797,40 +788,37 @@ _SAMPLE_BLOCK = 32
 
 
 def _domination_samples(wf: WorkFunction) -> tuple:
-    """((s, t, d), two_candidate): the first six grid cells s off the last
+    """((s, t, d), two_candidate): the first six grid points s off the last
     request's lines in product_key order, each with the first of its
-    projections t = (r.x, s.y), (s.x, r.y) that dominates it, as (n, 2) grid
-    index arrays, and d(s, t) at wf.scale; two_candidate is False when a
-    cell before the sixth sample has neither.  W at t is read from
-    wf.lines; W off the lines is evaluated in row-major blocks of
-    _SAMPLE_BLOCK cells, up to the block holding the sixth sample."""
+    projections t = (r.x, s.y), (s.x, r.y) that dominates it, as (n, 2)
+    position arrays, and d(s, t) at wf.scale; two_candidate is False when a
+    point before the sixth sample has neither.  W at the points and at both
+    their projections is read in row-major blocks of _SAMPLE_BLOCK points,
+    one _w_at call each, up to the block holding the sixth sample."""
     kx, ky = wf.kits
-    xr, yr, ny = wf.xr, wf.yr, len(wf.gy)
-    dx = kx.dist(wf.gx[xr], wf.gx)
-    dy = ky.dist(wf.gy[yr], wf.gy)
-    # Row-major cell order is the grid points' product_key order.  Off-line
-    # cell k is (a, b) = (i + (i >= xr), j + (j >= yr)) for (i, j) =
-    # divmod(k, ny - 1), and it is dominated by (xr, b) or (a, yr) when W is
-    # their W plus d: lines[b] or lines[ny + i], in _line_cells order.
-    cells = (len(wf.gx) - 1) * (ny - 1)
-    found = []  # (a, b, dominated by (xr, b)) of each sample
+    rx, ry = wf._at
+    # Row-major over the sorted grid is product_key order.
+    xs, ys = wf.gx[wf.gx != rx], wf.gy[wf.gy != ry]
+    cells = len(xs) * len(ys)
+    found = []  # (x, y, dominated by (r.x, y)) of each sample
     two_candidate = True
     for start in range(0, cells, _SAMPLE_BLOCK):
-        i, j = np.divmod(np.arange(start, min(start + _SAMPLE_BLOCK, cells)), ny - 1)
-        a, b = i + (i >= xr), j + (j >= yr)
-        W = wf._w_at(1, wf.gx[a], wf.gy[b])
-        by_v = W == wf.lines[b] + dx[a]
-        hit = by_v | (W == wf.lines[ny + i] + dy[b])
+        i, j = np.divmod(np.arange(start, min(start + _SAMPLE_BLOCK, cells)), len(ys))
+        X, Y = xs[i], ys[j]
+        W, on_v, on_h = np.split(wf._w_at(1, np.concatenate([X, np.full_like(X, rx), X]),
+                                          np.concatenate([Y, Y, np.full_like(Y, ry)])), 3)
+        by_v = W == on_v + kx.dist(rx, X)
+        hit = by_v | (W == on_h + ky.dist(ry, Y))
         at = np.flatnonzero(hit)[:6 - len(found)]
-        found += zip(a[at].tolist(), b[at].tolist(), by_v[at].tolist())
+        found += zip(X[at].tolist(), Y[at].tolist(), by_v[at].tolist())
         end = at[-1] + 1 if len(found) == 6 else len(hit)
         two_candidate = two_candidate and bool(hit[:end].all())
         if len(found) == 6:
             break
     s = np.array(found, dtype=np.int64).reshape(-1, 3)
-    (a, b), vert = s[:, :2].T, s[:, 2] == 1
-    t = np.stack([np.where(vert, xr, a), np.where(vert, b, yr)], axis=1)
-    return (s[:, :2], t, np.where(vert, dx[a], dy[b])), two_candidate
+    (X, Y), vert = s[:, :2].T, s[:, 2] == 1
+    t = np.stack([np.where(vert, rx, X), np.where(vert, Y, ry)], axis=1)
+    return (s[:, :2], t, np.where(vert, kx.dist(rx, X), ky.dist(ry, Y))), two_candidate
 
 
 def _dominate_checks(wf: WorkFunction, cfg: PotentialConfig,
@@ -838,8 +826,8 @@ def _dominate_checks(wf: WorkFunction, cfg: PotentialConfig,
     """Sampled replace-a-dominated-point bounds, slots (a) through (f).
 
     samples are _domination_samples(wf): grid points off the request paired
-    with their dominating candidate on it; the context triple (positions at
-    wf.scale) fills the untouched slots.
+    with their dominating candidate on it; the context triple fills the
+    untouched slots.  Points are positions at wf.scale.
     """
     bounds = cfg.dominate_bounds()
     (s, t, d), two_candidate = samples
@@ -855,9 +843,7 @@ def _dominate_checks(wf: WorkFunction, cfg: PotentialConfig,
     # s and t (3, 4, ...).  Each letter puts them in one slot of the triple
     # in F or G, so F and G at those triples hold every value the letters
     # read: [slot, x] is the context with x in that slot.
-    cells = np.stack([s, t], axis=1).reshape(-1, 2)
-    pts = np.concatenate([context, np.stack([wf.gx[cells[:, 0]], wf.gy[cells[:, 1]]],
-                                            axis=1)])
+    pts = np.concatenate([context, np.stack([s, t], axis=1).reshape(-1, 2)])
     fr = _Frame(_Base(wf, 1, pts), cfg)
     x = np.arange(3, len(pts))
     triples = [np.where(np.arange(3)[:, None] == n, x, n) for n in range(3)]
@@ -885,8 +871,8 @@ def _domination_candidates_check(wf_before: WorkFunction, wf_after: WorkFunction
     dominated, against the previous work function, by the single candidate
     on the previous request.  rows lists the minimizers' rows of wf_after's
     candidates, at positions P, in product_key order."""
-    nx, ny = wf_after.gx[wf_after.xr], wf_after.gy[wf_after.yr]
-    px, py = wf_before.gx[wf_before.xr], wf_before.gy[wf_before.yr]
+    nx, ny = wf_after._at
+    px, py = wf_before._at
     pairs = []  # (row of s, position of its dominating candidate t)
     for i in rows:
         x, y = P[i]
@@ -901,7 +887,7 @@ def _domination_candidates_check(wf_before: WorkFunction, wf_after: WorkFunction
         kx, ky = wf_before.kits
         W = wf_before._w_at(1, np.append(S[:, 0], tx), np.append(S[:, 1], ty))
         d = kx.dist(tx, S[:, 0]) + ky.dist(ty, S[:, 1])
-        bad = list(_points(wf_after, S[W[:len(s)] != W[len(s):] + d]))
+        bad = list(wf_after._points(*S[W[:len(s)] != W[len(s):] + d].T))
     note = "" if not bad else f"undominated minimizer points: {bad}"
     return CheckResult("domination_candidates", not bad, note=note)
 

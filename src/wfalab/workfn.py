@@ -15,7 +15,8 @@ for s = (x, y) is exactly
 moving t along the line x = r.x from (r.x, y') to (r.x, y) cuts d(t, s) by
 d_Y(y', y), and W_{i-1} is 1-Lipschitz, so it grows by at most as much (the
 same holds on y = r.y).  On r's own lines the other term is never smaller,
-so W_i there is W_{i-1} there, a minimum over the previous anchors.
+so W_i there is W_{i-1} there: update stores W_{i-1} at the new grid's cells
+on r's lines, the minimum over the previous anchors (_w_at).
 
 The extended cost against the next request r' is the maximum over s of the
 slack, min over t serving r' of W(t) + lam*d(t, s) minus W(s), taken on the
@@ -39,11 +40,11 @@ outward): its maximum is at one of them.  Positions and values scaled by
 apexes do not depend on lam, so extended_costs runs the kernel for several
 lambdas at once, one row per lambda at its own scale.
 
-Internally values are stored as numpy int64 at a fixed per-instance scale
-(the lcm of all coordinate and weight denominators), which keeps the update
-exact while letting it vectorize.  Kernels work on grid indices and integer
-positions (gx, gy, and the last request's indices xr, yr); a point is looked
-up by a sorted search of the grid, and W off the lines is the integer
+Internally values are integers at a fixed per-instance scale (the lcm of
+all coordinate and weight denominators), int64 where a kernel has headroom
+and Python ints otherwise.  Kernels work on integer positions (gx, gy, the
+anchors', the last request's _at); grid indices (xr, yr) only lay out lines
+(_line_cells).  _points turns positions into points, and W anywhere is the
 minimum over the anchors (_w_at).  The public API only speaks Fraction.
 """
 
@@ -118,11 +119,18 @@ class _AxisKit:
                                   for row in self.D.tolist()])
 
     def pos(self, points: Iterable[SpacePoint]) -> np.ndarray:
-        if self.kind == "line":
-            return np.array(
-                [scaled_int(p.value * self.weight, self.scale) for p in points],
-                dtype=np.int64)
-        return np.array([p.index for p in points], dtype=np.int64)
+        """The points' positions; a line position of 2**62 or more in
+        magnitude raises, as no int64 kernel has headroom for it."""
+        if self.kind == "finite":
+            return np.array([p.index for p in points], dtype=np.int64)
+        out = []
+        for p in points:
+            q = scaled_int(p.value * self.weight, self.scale)
+            if abs(q) >= _HEADROOM:
+                raise WfalabError(f"coordinate {p.value} overflows the integer "
+                                  f"kernel at scale {self.scale}")
+            out.append(q)
+        return np.array(out, dtype=np.int64)
 
     def dist(self, a, b):
         """The distance between positions a and b, elementwise under numpy
@@ -206,6 +214,14 @@ def _added(points: tuple, pos: np.ndarray, p: SpacePoint, q) -> tuple:
     return points[:k] + (p,) + points[k:], np.concatenate([pos[:k], [q], pos[k:]]), k
 
 
+def _line_cells(nx: int, ny: int, xr: int, yr: int) -> tuple:
+    """(x indices, y indices) of the cells of an nx x ny grid on the lines
+    through cell (xr, yr), in grid_points_on order: the vertical line's
+    first."""
+    return (np.concatenate([np.full(ny, xr), np.delete(np.arange(nx), xr)]),
+            np.concatenate([np.arange(ny), np.full(nx - 1, yr)]))
+
+
 def _rescale(a: np.ndarray, ratio: Fraction, what: str) -> np.ndarray:
     """a times ratio, exactly and below 2**62.  When both scales hold every
     entry exactly, each is a multiple of ratio's denominator."""
@@ -253,13 +269,16 @@ class WorkFunction:
     def _line_cells(self) -> tuple:
         """(x indices, y indices) of the grid cells on the last request's
         lines (the origin's before any), in grid_points_on order."""
-        nx, ny = len(self.gx), len(self.gy)
-        return (np.concatenate([np.full(ny, self.xr), np.delete(np.arange(nx), self.xr)]),
-                np.concatenate([np.arange(ny), np.full(nx - 1, self.yr)]))
+        return _line_cells(len(self.gx), len(self.gy), self.xr, self.yr)
+
+    @property
+    def _at(self) -> tuple:
+        """The last request's positions (the origin's before any)."""
+        return int(self.gx[self.xr]), int(self.gy[self.yr])
 
     @cached_property
     def _anchor_cells(self) -> tuple:
-        """(x indices, y indices, values) of the grid cells on the last
+        """(x positions, y positions, values) of the grid cells on the last
         request's lines, in grid_points_on order, less those dominated by
         another.  Every configuration is dominated by one of the rest, so a
         minimum over them evaluates W anywhere."""
@@ -267,21 +286,28 @@ class WorkFunction:
         av = self.lines
         kx, ky = self.kits
         px, py = self.gx[cx], self.gy[cy]
-        t = kx.dist(px[:, None], px)
+        # The sums take the values' dtype: Python ints when they need them.
+        t = kx.dist(px[:, None], px).astype(av.dtype, copy=False)
         t += ky.dist(py[:, None], py)
         t += av[:, None]
         dominated = t <= av[None, :]
         np.fill_diagonal(dominated, False)
         keep = ~dominated.any(axis=0)
-        return cx[keep], cy[keep], av[keep]
+        return px[keep], py[keep], av[keep]
 
     @cached_property
     def anchor_points(self) -> Tuple[ProductPoint, ...]:
         """Undominated grid points on the last request's lines."""
-        cx, cy, _ = self._anchor_cells
-        xs, ys = self.grid.xs, self.grid.ys
-        return tuple(ProductPoint(xs[a], ys[b])
-                     for a, b in zip(cx.tolist(), cy.tolist()))
+        return self._points(*self._anchor_cells[:2])
+
+    def _points(self, X: np.ndarray, Y: np.ndarray) -> Tuple[ProductPoint, ...]:
+        """The points at position arrays X, Y at the work function's scale;
+        on a line axis each position is one of the grid's."""
+        cols = [[coords[k] for k in g.searchsorted(P).tolist()] if kit.kind == "line"
+                else [IndexPoint(q) for q in P.tolist()]
+                for kit, g, coords, P in zip(self.kits, (self.gx, self.gy),
+                                             (self.grid.xs, self.grid.ys), (X, Y))]
+        return tuple(ProductPoint(x, y) for x, y in zip(*cols))
 
     @cached_property
     def anchors(self) -> Tuple[tuple, ...]:
@@ -318,9 +344,9 @@ class WorkFunction:
         """m * scale * W at the positions X, Y, given at m times the scale:
         the minimum over the anchors of v + d, in Python ints when int64
         could overflow."""
-        cx, cy, av = self._anchor_cells
+        ax, ay, av = self._anchor_cells
         axes = [(kit, g, np.asarray(P)) for kit, g, P in
-                zip(self.kits, (self.gx[cx], self.gy[cy]), (X, Y))]
+                zip(self.kits, (ax, ay), (X, Y))]
         big = m * int(av.max()) + sum(kit.reach(m, g, P) for kit, g, P in axes)
         dtype = _int_dtype(big)
         W = av.astype(dtype)[:, None] * m
@@ -346,26 +372,17 @@ class WorkFunction:
     # -- update ------------------------------------------------------------
 
     def update(self, r: RequestPoint) -> "WorkFunction":
-        """W after r as well, by the recurrence in the module docstring."""
+        """W after r as well: on r's lines, W before r (module docstring)."""
         inst = self.instance
         if self.i >= inst.n or inst.requests[self.i] != r:
             raise RequestIndexError(
                 f"request {r} is not request #{self.i} of the instance")
         kx, ky = self.kits
-        rx, ry = kx.pos([r.x])[0], ky.pos([r.y])[0]
-        xs, gx, xr = _added(self.grid.xs, self.gx, r.x, rx)
-        ys, gy, yr = _added(self.grid.ys, self.gy, r.y, ry)
-        cx, cy, av = self._anchor_cells
-        # Every sum below is an anchor value plus at most two distances per
-        # axis between new-grid positions.
-        if int(av.max()) + 2 * (kx.span(gx) + ky.span(gy)) >= _HEADROOM:
-            raise WfalabError("work-function values overflow the integer kernel")
-        apx, apy = self.gx[cx], self.gy[cy]
-        on_v = ((av + kx.dist(apx, rx))[:, None] + ky.dist(apy[:, None], gy)).min(axis=0)
-        on_h = ((av + ky.dist(apy, ry))[:, None] + kx.dist(apx[:, None], gx)).min(axis=0)
-        # W is 1-Lipschitz, so W after r is on_v on x = r.x and on_h on y = r.y.
-        lines = np.concatenate([on_v, np.delete(on_h, xr)])
-        return WorkFunction(inst, self.i + 1, Grid(xs, ys), r, lines, self.scale,
+        xs, gx, xr = _added(self.grid.xs, self.gx, r.x, kx.pos([r.x])[0])
+        ys, gy, yr = _added(self.grid.ys, self.gy, r.y, ky.pos([r.y])[0])
+        cx, cy = _line_cells(len(gx), len(gy), xr, yr)
+        return WorkFunction(inst, self.i + 1, Grid(xs, ys), r,
+                            self._w_at(1, gx[cx], gy[cy]), self.scale,
                             self.kits, gx, gy, xr, yr)
 
     def rescaled(self, instance: Instance) -> "WorkFunction":
@@ -451,15 +468,13 @@ class WorkFunction:
         request's; u is that axis, v the other.  nxt holds the next request's
         positions, one per axis.  Row l works at m = 2 * num(lams[l])
         times the scale, and f at den(lams[l]) times that."""
-        cx, cy, w = self._anchor_cells
-        axes = [(self.kits[0], self.gx, cx, self.grid.xs[self.xr], self.xr, nxt[0]),
-                (self.kits[1], self.gy, cy, self.grid.ys[self.yr], self.yr, nxt[1])]
-        (ku, gu, cu, u_prev, ru, u_next), (kv, gv, cv, _, _, v_next) = (
+        ax, ay, w = self._anchor_cells
+        axes = [(self.kits[0], ax, self.grid.xs[self.xr], self._at[0], nxt[0]),
+                (self.kits[1], ay, self.grid.ys[self.yr], self._at[1], nxt[1])]
+        (ku, apu, u_prev, u_at, u_next), (kv, apv, _, _, v_next) = (
             axes if fixed == "x" else axes[::-1])
-        upos = np.array([gu[ru], u_next])
-        du = ku.dist(gu[cu][:, None], upos)  # columns: to r_prev.u, to r_next.u
-        shift = int(ku.dist(u_next, gu[ru]))
-        apv = gv[cv]
+        du = ku.dist(apu[:, None], np.array([u_at, u_next]))  # to r_prev.u, r_next.u
+        shift = int(ku.dist(u_next, u_at))
         vpos = np.append(apv, v_next)  # the cone apexes, r_next.v's last
         dv = kv.dist(apv, v_next)
         # Every term of row l is under q * m * big in magnitude, every

@@ -61,3 +61,12 @@ def grid_values(wf):
     derived from the anchors."""
     nx, ny = len(wf.gx), len(wf.gy)
     return wf._w_at(1, np.repeat(wf.gx, ny), np.tile(wf.gy, nx)).reshape(nx, ny)
+
+
+def huge_instance():
+    """Requests at (+-2**60, +-2**60): W passes 2**62 from the second
+    request on, so the work function must hold it in Python ints."""
+    b = 2 ** 60
+    reqs = (request(b, b), request(-b, -b), request(b, -b), request(-b, b),
+            request(b, b))
+    return Instance(RealLine(), RealLine(), pt(0, 0), reqs)

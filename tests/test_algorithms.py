@@ -6,15 +6,17 @@ from fractions import Fraction
 import pytest
 
 from wfalab import (AlgorithmConfig, AuditError, ConfigError, Instance,
-                    ProductPoint, RealLine, default_constants, greedy_step,
-                    initial, potential, pt, request, retrospective_step, run,
-                    run_all, serves, verify_step, wfa_minimizers, wfa_step)
+                    ProductPoint, RealLine, WfalabError, default_constants,
+                    greedy_step, initial, potential, pt, request,
+                    retrospective_step, run, run_all, serves, verify_step,
+                    wfa_minimizers, wfa_step)
 from wfalab.harness import example_trace
+from wfalab.offline import brute_force_opt
 from wfalab.metric import IndexPoint, RealPoint, product_key
 from wfalab.problem import grid_points_on
 
-from conftest import (finite_instance, mixed_instance, plane_instance,
-                      weighted_instance, wide_instance)
+from conftest import (finite_instance, huge_instance, mixed_instance,
+                      plane_instance, weighted_instance, wide_instance)
 
 HALF = Fraction(1, 2)
 
@@ -286,3 +288,17 @@ def test_wfa_minimizers_match_the_fraction_scoring(maker):
                         == fraction_minimizers(wf, current, r, lam))
             pos = wfa_step(wf, pos, lam)
     assert bool(wide_scores) == (maker == "wider")
+
+
+def test_runs_past_int64_are_exact_and_verified_ones_refused():
+    """Unverified runs whose work-function values pass 2**62 end with the
+    offline optimum.  A verified run stops at step 0 with a WfalabError: the
+    Lipschitz probe moves the request by 1/32, and at scale 32 its
+    coordinate no longer fits the integer kernel."""
+    inst = huge_instance()
+    configs = [AlgorithmConfig("wfa", HALF), AlgorithmConfig("greedy"),
+               AlgorithmConfig("retrospective")]
+    opt = brute_force_opt(inst)
+    assert [t.opt_cost for t in run_all(inst, configs)] == [opt] * 3
+    with pytest.raises(WfalabError, match="^step 0: coordinate .* at scale 32$"):
+        run(inst, configs[0], verify=True)

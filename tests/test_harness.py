@@ -184,6 +184,8 @@ MISTYPED = [
     ({"generator": {"kind": "random_walk", "n": 3, "stepRange": "2"}}, "stepRange"),
     ({"generator": {"kind": "finite_uniform", "n": 3, "size": 4.0}}, "size"),
     ({"generator": {"kind": "finite_uniform", "n": 3, "k": True}}, "k"),
+    ({"lambdas": "1"}, "lambdas"),
+    ({"algorithms": "greedy"}, "algorithms"),
 ]
 
 
@@ -210,6 +212,39 @@ def test_mistyped_config_fields_are_refused(tmp_path, fields, name):
         assert cli.main(["run", "--config", str(path), "--out-dir", str(out)]) == 1
     assert err.getvalue().startswith(f"config error: {name} must be")
     assert not out.exists()
+
+
+# Rational fields given a JSON float, and the field the error must name.
+FLOAT_RATIONALS = [
+    ({"generator": {"kind": "weighted_line", "n": 3, "weightX": 0.5}}, "weightX"),
+    ({"generator": {"kind": "weighted_line", "n": 3, "weightY": 2.0}}, "weightY"),
+    ({"algorithms": ["wfa"], "lambdas": [0.5]}, "lambdas"),
+    ({"algorithms": [{"kind": "wfa", "lambda": 0.25}]}, "lambda"),
+]
+
+
+@pytest.mark.parametrize("fields,name", FLOAT_RATIONALS,
+                         ids=[name for _, name in FLOAT_RATIONALS])
+def test_float_rationals_are_refused_naming_their_field(fields, name):
+    raw = {"generator": {"kind": "uniform_random", "n": 3},
+           "algorithms": ["greedy"], **fields}
+    with pytest.raises(ConfigError, match=f"^{name}: expected an exact rational"):
+        experiment_from_json(raw)
+
+
+@pytest.mark.parametrize("field", ["m", "n", "coord_range", "step_range", "size"])
+def test_generator_counts_refuse_bools(field):
+    """A bool is an int to Python, but no count."""
+    with pytest.raises(ConfigError, match=f"^{field} must be an int"):
+        GeneratorConfig("uniform_random", **{"n": 2, field: True})
+
+
+@pytest.mark.parametrize("field", ["trials", "seed"])
+def test_experiment_counts_refuse_bools(field):
+    gen = GeneratorConfig("uniform_random", n=2)
+    fields = {"trials": 1, "seed": 0, field: field == "trials"}
+    with pytest.raises(ConfigError, match=f"^{field} must be a nonnegative int"):
+        ExperimentConfig(gen, (), **fields)
 
 
 def test_experiment_parsing_accepts_explicit_potential():
@@ -496,3 +531,22 @@ def test_a_trial_names_its_first_failing_algorithm(tmp_path, monkeypatch):
     assert str(info.value) == (f"{cfg.generator.label} seed {trial_seed(9, 0)} "
                                f"wfa[1/4]: step 2: midpoint refinement "
                                f"improved min F")
+
+
+def test_a_position_past_the_headroom_fails_its_step(tmp_path):
+    """At weight 1/4611686018427387847 on x the instance scale passes 2**64,
+    so the first request's y position cannot fit the integer kernel: the
+    CLI exits 1 naming the trial's seed and step 0, with no traceback."""
+    raw = {"generator": {"kind": "weighted_line", "n": 3, "range": 2,
+                         "weightX": "1/4611686018427387847"},
+           "algorithms": ["greedy"], "trials": 1, "seed": 3}
+    path = tmp_path / "batch.json"
+    path.write_text(json.dumps(raw))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        assert cli.main(["run", "--config", str(path),
+                         "--out-dir", str(tmp_path / "out")]) == 1
+    message = err.getvalue()
+    assert message.startswith("error: ")
+    assert f"seed {trial_seed(3, 0)} greedy: step 0: coordinate " in message
+    assert "overflows the integer kernel" in message

@@ -105,3 +105,13 @@ def test_traced_benchmark_names_exist():
         if not callable(owner):
             missing.append(f"{module}.{attr} ({name})")
     assert not missing, missing
+
+
+def test_potential_reads_no_grid_layout():
+    """The potential works on positions and W at them: grid indices and the
+    layout of a work function's stored lines stay in workfn."""
+    layout = {"xr", "yr", "lines", "_line_cells"}
+    found = [f"potential.py:{node.lineno} {node.attr}"
+             for node in ast.walk(ast.parse((SRC / "potential.py").read_text()))
+             if isinstance(node, ast.Attribute) and node.attr in layout]
+    assert not found, found

@@ -21,7 +21,7 @@ from wfalab.harness import GeneratorConfig, generate
 from wfalab.potential import (Boks, CnnPotential, GeneralPotential, Spheres,
                               _audit, _Base, _candidates,
                               _domination_samples, _Frame, _min_f_frame,
-                              _min_g_frame, _points, config_from_json,
+                              _min_g_frame, config_from_json,
                               config_to_json, default_constants, f_value,
                               g_value, h_value, min_f, min_g, min_h, phi,
                               region_membership, region_slack, verify_step)
@@ -508,15 +508,16 @@ def steps(inst):
     pytest.param(lambda rng, n: wide_instance(), id="wide_instance")])
 def test_candidates_are_the_sorted_request_lines(maker):
     """Each candidate position, read back as a point in Fraction and by
-    _points, is the sorted request lines' point in its place; at m = 2 the
-    positions are the audit's refined set, midpoints included."""
+    WorkFunction._points, is the sorted request lines' point in its place;
+    at m = 2 the positions are the audit's refined set, midpoints
+    included."""
     inst = maker(random.Random(77), 6)
     for _, wf, _ in steps(inst):
         P = _candidates(wf)
         want = triple_candidates(wf)
         assert P.shape == (len(want), 2)
         assert position_points(wf, 1, P) == want
-        assert list(_points(wf, P)) == want
+        assert list(wf._points(*P.T)) == want
         assert position_points(wf, 2, _candidates(wf, 2)) == refined_fraction_candidates(wf)
 
 
@@ -545,13 +546,11 @@ def fraction_samples(wf, r, W=None):
 
 
 def sample_points(wf):
-    """_domination_samples(wf) with its grid cells as points and its
+    """_domination_samples(wf) with its positions as points and its
     distances as Fractions."""
     (s, t, d), two_candidate = _domination_samples(wf)
-    xs, ys = wf.grid.xs, wf.grid.ys
-    return [(ProductPoint(xs[a], ys[b]), ProductPoint(xs[c], ys[e]),
-             Fraction(dd, wf.scale))
-            for (a, b), (c, e), dd in zip(s.tolist(), t.tolist(), d.tolist())], two_candidate
+    return list(zip(wf._points(*s.T), wf._points(*t.T),
+                    (Fraction(dd, wf.scale) for dd in d.tolist()))), two_candidate
 
 
 @pytest.mark.parametrize("maker", [plane_instance, weighted_instance,

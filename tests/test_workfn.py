@@ -10,17 +10,18 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wfalab import (ConfigError, EmptySetError, Instance, ProductPoint,
-                    RealLine, RealPoint, RequestIndexError, Scaled, cone,
-                    cone_envelope, idx, initial, instance_scale,
-                    max_difference, pointwise_min, pt, request, serves)
+                    RealLine, RealPoint, RequestIndexError, Scaled,
+                    WfalabError, cone, cone_envelope, idx, initial,
+                    instance_scale, max_difference, pointwise_min, pt, request,
+                    serves)
 from wfalab.metric import FiniteMatrix, IndexPoint, product_key
-from wfalab.offline import dense_slack_max
+from wfalab.offline import brute_force_work_value, dense_slack_max
 from wfalab.problem import grid_after, grid_points_on
 from wfalab.workfn import _AxisKit
 
-from conftest import (finite_instance, grid_values, mixed_instance,
-                      plane_instance, quarter, weighted_instance,
-                      wide_instance)
+from conftest import (finite_instance, grid_values, huge_instance,
+                      mixed_instance, plane_instance, quarter,
+                      weighted_instance, wide_instance)
 
 HALF = Fraction(1, 2)
 
@@ -437,3 +438,29 @@ def test_update_rejects_out_of_order_requests():
     done = wf.update(inst.requests[0])
     with pytest.raises(RequestIndexError):
         done.update(request(1, 2))
+
+
+@pytest.mark.parametrize("big", [2 ** 62, -2 ** 62, 2 ** 70],
+                         ids=["2**62", "-2**62", "2**70"])
+def test_a_position_past_the_headroom_is_refused(big):
+    """A line position of 2**62 or more in magnitude raises a WfalabError
+    naming the coordinate, where int64 would overflow or wrap."""
+    inst = Instance(RealLine(), RealLine(), pt(0, 0), (request(big, 1),))
+    wf = initial(inst)
+    for call in (lambda: wf.update(inst.requests[0]),
+                 lambda: wf.extended_cost(inst.requests[0], 1)):
+        with pytest.raises(WfalabError, match=f"^coordinate {big} overflows"):
+            call()
+
+
+def test_update_continues_exactly_past_int64():
+    """Once W outgrows int64, update holds it in Python ints, and every
+    anchor value is still W by its definition."""
+    inst = huge_instance()
+    wf = initial(inst)
+    for r in inst.requests:
+        wf = wf.update(r)
+        for p, v in wf.anchors:
+            assert v == brute_force_work_value(inst, wf.i, p)
+    assert wf.lines.dtype == object
+    assert int(wf.lines.max()) >= 2 ** 62
