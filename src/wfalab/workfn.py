@@ -283,11 +283,13 @@ class WorkFunction:
         another.  Every configuration is dominated by one of the rest, so a
         minimum over them evaluates W anywhere."""
         cx, cy = self._line_cells
-        av = self.lines
         kx, ky = self.kits
         px, py = self.gx[cx], self.gy[cy]
-        # The sums take the values' dtype: Python ints when they need them.
-        t = kx.dist(px[:, None], px).astype(av.dtype, copy=False)
+        # Each distance fits int64; their sum with a value takes Python ints
+        # when its own bound shows int64 could overflow.
+        dtype = _int_dtype(int(self.lines.max()) + kx.span(px) + ky.span(py))
+        av = self.lines.astype(dtype, copy=False)
+        t = kx.dist(px[:, None], px).astype(dtype, copy=False)
         t += ky.dist(py[:, None], py)
         t += av[:, None]
         dominated = t <= av[None, :]

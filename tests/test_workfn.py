@@ -15,7 +15,8 @@ from wfalab import (ConfigError, EmptySetError, Instance, ProductPoint,
                     instance_scale, max_difference, pointwise_min, pt, request,
                     serves)
 from wfalab.metric import FiniteMatrix, IndexPoint, product_key
-from wfalab.offline import brute_force_work_value, dense_slack_max
+from wfalab.offline import (brute_force_opt, brute_force_work_value,
+                            dense_slack_max)
 from wfalab.problem import grid_after, grid_points_on
 from wfalab.workfn import _AxisKit
 
@@ -464,3 +465,22 @@ def test_update_continues_exactly_past_int64():
             assert v == brute_force_work_value(inst, wf.i, p)
     assert wf.lines.dtype == object
     assert int(wf.lines.max()) >= 2 ** 62
+
+
+def test_anchor_sums_past_int64_beside_int64_lines():
+    """int64 lines beside grid spans near 2**62: a value plus two distances
+    passes int64 while every value fits, so the anchors' domination sums
+    take Python ints and no undominated cell is dropped."""
+    a, b = 2 ** 61 + 2 ** 58, 2 ** 60 + 2 ** 59
+    inst = Instance(RealLine(), RealLine(), pt(0, 0),
+                    (request(-a, 0), request(a, b), request(a, 0)))
+    wf = initial(inst)
+    for r in inst.requests:
+        wf = wf.update(r)
+        for p, v in wf.anchors:
+            assert v == brute_force_work_value(inst, wf.i, p)
+        for p in grid_points(wf):
+            assert wf.evaluate(p) == brute_force_work_value(inst, wf.i, p)
+        if wf.i == 2:
+            assert wf.lines.dtype == np.int64
+    assert wf.opt_cost() == brute_force_opt(inst) == a
