@@ -11,8 +11,8 @@ from .algorithms import (AlgorithmConfig, RunTrace, StepRecord, greedy_step,
                          retrospective_step, run, run_all, wfa_minimizers,
                          wfa_step)
 from .errors import (AuditError, ConfigError, EmptySetError, ExactnessError,
-                     InvalidMetricError, RegionSpaceError, RequestIndexError,
-                     SizeGuardError, SpaceMismatchError,
+                     HeadroomError, InvalidMetricError, RegionSpaceError,
+                     RequestIndexError, SizeGuardError, SpaceMismatchError,
                      UnboundedDifferenceError, WfalabError)
 from .exact import common_denominator, frac, scaled_int
 from .metric import (FiniteMatrix, IndexPoint, ProductPoint, RealLine,
@@ -35,7 +35,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AlgorithmConfig", "AuditError", "Boks", "CheckResult", "CnnPotential",
     "ConfigError", "EmptySetError", "ExactnessError", "FiniteMatrix",
-    "GeneralPotential", "Grid", "IndexPoint", "Instance",
+    "GeneralPotential", "Grid", "HeadroomError", "IndexPoint", "Instance",
     "InvalidMetricError", "LemmaReport", "PL1D", "PotentialConfig",
     "ProductPoint", "RealLine", "RealPoint", "RegionSpaceError",
     "RequestIndexError", "RequestPoint", "RunTrace", "Scaled",

@@ -26,6 +26,11 @@ class RequestIndexError(WfalabError, ValueError):
     """A request index is out of range or inconsistent with the instance."""
 
 
+class HeadroomError(WfalabError, OverflowError):
+    """A position is 2**62 or more in magnitude at its instance's integer
+    scale, past the headroom of every integer kernel."""
+
+
 class SizeGuardError(WfalabError, ValueError):
     """An exhaustive computation was asked for on an instance that is too big."""
 

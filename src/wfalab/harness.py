@@ -199,24 +199,6 @@ def generator_from_json(raw: dict) -> GeneratorConfig:
     )
 
 
-def generator_to_json(gen: GeneratorConfig) -> dict:
-    out = {"kind": gen.kind}
-    if gen.kind == "example":
-        out["m"] = gen.m
-        return out
-    out["n"] = gen.n
-    if gen.kind in ("uniform_random", "orthogonal", "weighted_line"):
-        out["range"] = gen.coord_range
-    if gen.kind == "random_walk":
-        out["stepRange"] = gen.step_range
-    if gen.kind == "finite_uniform":
-        out["size"] = gen.size
-    if gen.kind == "weighted_line":
-        out["weightX"] = str(gen.weight_x)
-        out["weightY"] = str(gen.weight_y)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Experiment configuration
 

@@ -3,9 +3,8 @@
 The path oracle computes work-function values by minimizing over explicit
 serving paths whose serve points run over grid coordinates (a Bellman sweep
 over the candidate lists; optimal substructure collapses the enumeration
-without changing what is enumerated).  A literal product-of-candidates
-enumeration is also provided for very small prefixes so the sweep itself can
-be cross-checked.
+without changing what is enumerated).  The tests cross-check the sweep
+against a literal product-of-candidates enumeration on very small prefixes.
 
 Dense-grid maximizers for slack quantities sample a fine lattice in float64.
 They back tolerance-style comparisons (2^-5 and coarser), far above float
@@ -17,8 +16,6 @@ core, and build each lattice in whole numpy passes from integer numerators.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
-from typing import List, Tuple
 
 import numpy as np
 
@@ -29,73 +26,32 @@ from .problem import Instance, RequestPoint, grid_after, grid_points_on
 from .workfn import WorkFunction, _param_value
 
 MAX_ORACLE_REQUESTS = 6
-MAX_ENUMERATION_REQUESTS = 4
 
 
-def _serve_candidates(instance: Instance, i: int) -> List[List[ProductPoint]]:
+def _sweep(instance: Instance, i: int) -> dict:
+    """The cheapest path origin -> serve r_1 .. r_i -> p, for each grid point
+    p serving r_i (the origin alone when i = 0)."""
+    if i > MAX_ORACLE_REQUESTS:
+        raise SizeGuardError(f"the path oracle supports at most "
+                             f"{MAX_ORACLE_REQUESTS} requests, got {i}")
+    d = instance.distance
     grid = grid_after(instance, i)
-    return [list(grid_points_on(grid, r)) for r in instance.requests[:i]]
-
-
-def _guard(i: int, limit: int, what: str) -> None:
-    if i > limit:
-        raise SizeGuardError(f"{what} supports at most {limit} requests, got {i}")
+    best = {instance.origin: Fraction(0)}
+    for r in instance.requests[:i]:
+        best = {p: min(c + d(q, p) for q, c in best.items())
+                for p in grid_points_on(grid, r)}
+    return best
 
 
 def brute_force_work_value(instance: Instance, i: int, s: ProductPoint) -> Fraction:
     """Cheapest path origin -> serve r_1 .. r_i -> s over grid serve points."""
-    _guard(i, MAX_ORACLE_REQUESTS, "the path oracle")
     d = instance.distance
-    best = {instance.origin: Fraction(0)}
-    for cands in _serve_candidates(instance, i):
-        best = {p: min(c + d(q, p) for q, c in best.items()) for p in cands}
-    return min(c + d(q, s) for q, c in best.items())
-
-
-def brute_force_path(instance: Instance, i: int,
-                     s: ProductPoint) -> Tuple[Fraction, Tuple[ProductPoint, ...]]:
-    """Like brute_force_work_value but also returns one optimal serve path."""
-    _guard(i, MAX_ORACLE_REQUESTS, "the path oracle")
-    d = instance.distance
-    best = {instance.origin: (Fraction(0), (instance.origin,))}
-    for cands in _serve_candidates(instance, i):
-        nxt = {}
-        for p in cands:
-            cost, path = min(
-                ((c + d(q, p), path) for q, (c, path) in best.items()),
-                key=lambda t: t[0])
-            nxt[p] = (cost, path + (p,))
-        best = nxt
-    cost, path = min(((c + d(q, s), path) for q, (c, path) in best.items()),
-                     key=lambda t: t[0])
-    return cost, path[1:]
-
-
-def enumerate_work_value(instance: Instance, i: int, s: ProductPoint) -> Fraction:
-    """Plain product enumeration of serve paths; tiny prefixes only."""
-    _guard(i, MAX_ENUMERATION_REQUESTS, "path enumeration")
-    d = instance.distance
-    best = None
-    for path in product(*_serve_candidates(instance, i)):
-        at = instance.origin
-        cost = Fraction(0)
-        for p in path:
-            cost += d(at, p)
-            at = p
-        cost += d(at, s)
-        if best is None or cost < best:
-            best = cost
-    return best
+    return min(c + d(q, s) for q, c in _sweep(instance, i).items())
 
 
 def brute_force_opt(instance: Instance) -> Fraction:
     """Optimal offline cost: cheapest full serving path, ending anywhere."""
-    _guard(instance.n, MAX_ORACLE_REQUESTS, "the path oracle")
-    d = instance.distance
-    best = {instance.origin: Fraction(0)}
-    for cands in _serve_candidates(instance, instance.n):
-        best = {p: min(c + d(q, p) for q, c in best.items()) for p in cands}
-    return min(best.values())
+    return min(_sweep(instance, instance.n).values())
 
 
 # -- dense float lattices --------------------------------------------------

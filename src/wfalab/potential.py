@@ -54,7 +54,8 @@ from typing import Optional, Tuple, Union
 
 import numpy as np
 
-from .errors import AuditError, ConfigError, RegionSpaceError, WfalabError
+from .errors import (AuditError, ConfigError, HeadroomError, RegionSpaceError,
+                     WfalabError)
 from .exact import frac
 from .metric import IndexPoint, ProductPoint, RealPoint
 from .problem import Instance, RequestPoint, serves
@@ -783,18 +784,16 @@ class LemmaReport:
         }
 
 
-# Off-line cells _domination_samples evaluates W at per _w_at call.
-_SAMPLE_BLOCK = 32
-
-
 def _domination_samples(wf: WorkFunction) -> tuple:
     """((s, t, d), two_candidate): the first six grid points s off the last
     request's lines in product_key order, each with the first of its
     projections t = (r.x, s.y), (s.x, r.y) that dominates it, as (n, 2)
     position arrays, and d(s, t) at wf.scale; two_candidate is False when a
-    point before the sixth sample has neither.  W at the points and at both
-    their projections is read in row-major blocks of _SAMPLE_BLOCK points,
-    one _w_at call each, up to the block holding the sixth sample."""
+    point before the sixth sample has neither.  Each pass reads W, in one
+    _w_at call, at as many further points as samples are still missing and
+    at both their projections.  On a correct W every point is dominated by
+    one of its projections (workfn's recurrence), so one pass over six
+    points ends the scan."""
     kx, ky = wf.kits
     rx, ry = wf._at
     # Row-major over the sorted grid is product_key order.
@@ -802,19 +801,18 @@ def _domination_samples(wf: WorkFunction) -> tuple:
     cells = len(xs) * len(ys)
     found = []  # (x, y, dominated by (r.x, y)) of each sample
     two_candidate = True
-    for start in range(0, cells, _SAMPLE_BLOCK):
-        i, j = np.divmod(np.arange(start, min(start + _SAMPLE_BLOCK, cells)), len(ys))
+    start = 0
+    while start < cells and len(found) < 6:
+        stop = min(start + 6 - len(found), cells)
+        i, j = np.divmod(np.arange(start, stop), len(ys))
+        start = stop
         X, Y = xs[i], ys[j]
         W, on_v, on_h = np.split(wf._w_at(1, np.concatenate([X, np.full_like(X, rx), X]),
                                           np.concatenate([Y, Y, np.full_like(Y, ry)])), 3)
         by_v = W == on_v + kx.dist(rx, X)
         hit = by_v | (W == on_h + ky.dist(ry, Y))
-        at = np.flatnonzero(hit)[:6 - len(found)]
-        found += zip(X[at].tolist(), Y[at].tolist(), by_v[at].tolist())
-        end = at[-1] + 1 if len(found) == 6 else len(hit)
-        two_candidate = two_candidate and bool(hit[:end].all())
-        if len(found) == 6:
-            break
+        found += zip(X[hit].tolist(), Y[hit].tolist(), by_v[hit].tolist())
+        two_candidate = two_candidate and bool(hit.all())
     s = np.array(found, dtype=np.int64).reshape(-1, 3)
     (X, Y), vert = s[:, :2].T, s[:, 2] == 1
     t = np.stack([np.where(vert, rx, X), np.where(vert, Y, ry)], axis=1)
@@ -920,17 +918,19 @@ class SharedStep:
         return _domination_samples(self.wf_after)
 
     @cached_property
-    def probe(self) -> Optional[tuple]:
-        """(d_eps, r_mod, wf2): the request with its minor-axis coordinate
-        moved by 1/32, how far that moved it, and W after the requests
-        before it as a work function of the instance that ends with r_mod;
-        None when the minor axis is finite."""
+    def probe(self) -> Union[tuple, str]:
+        """(d_eps, r_mod, wf2, wf2_after): the request with its minor-axis
+        coordinate moved by 1/32, how far that moved it, and W after the
+        requests before it, then after r_mod as well, as work functions of
+        the instance that ends with r_mod.  Or why the probe is skipped: the
+        minor axis is finite, or a position of that instance overflows the
+        integer kernel (its scale can be 32 times the run's)."""
         wf_before, r_next = self.wf_before, self.wf_after.last_request
         inst = wf_before.instance
         dx, dy = self.moves
         minor_is_y = dy <= dx
         if inst._axes[1 if minor_is_y else 0].kind != "line":
-            return None
+            return "the minor axis is finite"
         eps = Fraction(1, 32)
         if minor_is_y:
             r_mod = RequestPoint(r_next.x, RealPoint(r_next.y.value + eps))
@@ -942,31 +942,30 @@ class SharedStep:
         # the perturbed instance's is wf_before's at that instance's scale.
         inst2 = Instance(inst.space_x, inst.space_y, inst.origin,
                          inst.requests[:wf_before.i] + (r_mod,))
-        return d_eps, r_mod, wf_before.rescaled(inst2)
+        try:
+            wf2 = wf_before.rescaled(inst2)
+            return d_eps, r_mod, wf2, wf2.update(r_mod)
+        except HeadroomError as exc:
+            return str(exc)
 
     @cached_property
     def probe_nablas(self) -> dict:
-        _, r_mod, wf2 = self.probe
+        _, r_mod, wf2, _ = self.probe
         return {lam: v for lam, (v, _) in
                 zip(self.nablas, wf2.extended_costs(r_mod, list(self.nablas)))}
-
-    @cached_property
-    def probe_after(self) -> WorkFunction:
-        _, r_mod, wf2 = self.probe
-        return wf2.update(r_mod)
 
 
 def _lipschitz_probe(shared: SharedStep, cfg: PotentialConfig, nabla: Fraction,
                      mg_after: Fraction) -> list:
     """Advisory: nudge the minor-axis coordinate of the request and compare
     the extended cost and min G shifts against the documented constants."""
-    if shared.probe is None:
+    if isinstance(shared.probe, str):
         return [CheckResult("lipschitz_probe", True, advisory=True,
-                            note="skipped: the minor axis is finite")]
-    d_eps = shared.probe[0]
+                            note=f"skipped: {shared.probe}")]
+    d_eps, _, _, wf2_after = shared.probe
     lam = cfg.triple_param
     nabla2 = shared.probe_nablas[lam]
-    mg2 = min_g(shared.probe_after, cfg)[0]
+    mg2 = min_g(wf2_after, cfg)[0]
     shift_n = abs(nabla2 - nabla)
     bound_n = (1 + lam) * d_eps
     shift_g = abs(mg2 - mg_after)

@@ -60,7 +60,8 @@ from typing import Iterable, Optional, Tuple
 
 import numpy as np
 
-from .errors import ConfigError, EmptySetError, RequestIndexError, WfalabError
+from .errors import (ConfigError, EmptySetError, HeadroomError,
+                     RequestIndexError, WfalabError)
 from .exact import common_denominator, frac, scaled_int
 from .metric import (IndexPoint, ProductPoint, RealPoint, ResolvedAxis,
                      SpacePoint, check_point, product_key)
@@ -120,15 +121,16 @@ class _AxisKit:
 
     def pos(self, points: Iterable[SpacePoint]) -> np.ndarray:
         """The points' positions; a line position of 2**62 or more in
-        magnitude raises, as no int64 kernel has headroom for it."""
+        magnitude raises HeadroomError, as no int64 kernel has headroom for
+        it."""
         if self.kind == "finite":
             return np.array([p.index for p in points], dtype=np.int64)
         out = []
         for p in points:
             q = scaled_int(p.value * self.weight, self.scale)
             if abs(q) >= _HEADROOM:
-                raise WfalabError(f"coordinate {p.value} overflows the integer "
-                                  f"kernel at scale {self.scale}")
+                raise HeadroomError(f"coordinate {p.value} overflows the integer "
+                                    f"kernel at scale {self.scale}")
             out.append(q)
         return np.array(out, dtype=np.int64)
 
@@ -223,14 +225,14 @@ def _line_cells(nx: int, ny: int, xr: int, yr: int) -> tuple:
 
 
 def _rescale(a: np.ndarray, ratio: Fraction, what: str) -> np.ndarray:
-    """a times ratio, exactly and below 2**62.  When both scales hold every
-    entry exactly, each is a multiple of ratio's denominator."""
-    q, rest = np.divmod(a, ratio.denominator)
+    """a times ratio, exactly: int64 below 2**62, Python ints otherwise.
+    When both scales hold every entry exactly, each is a multiple of ratio's
+    denominator; // and % take int64 and Python-int entries alike."""
+    q, rest = a // ratio.denominator, a % ratio.denominator
     if rest.any():
         raise WfalabError(f"{what} are not exact at the new scale")
-    if int(np.abs(q).max()) * ratio.numerator >= _HEADROOM:
-        raise WfalabError(f"{what} overflow the integer kernel")
-    return q * ratio.numerator
+    dtype = _int_dtype(int(np.abs(q).max()) * ratio.numerator)
+    return q.astype(dtype, copy=False) * ratio.numerator
 
 
 def _find(points: tuple, p: SpacePoint) -> Optional[int]:
@@ -396,7 +398,8 @@ class WorkFunction:
         scale differs: the values and line positions move to
         instance_scale(instance) by the integer ratio of the scales, finite
         positions stay indices, and the kits are rebuilt there as initial()
-        builds them.
+        builds them.  A line position of 2**62 or more there raises
+        HeadroomError, as _AxisKit.pos does.
         """
         mine = self.instance
         prefix = (instance.space_x, instance.space_y, instance.origin,
@@ -412,6 +415,9 @@ class WorkFunction:
         kx, ky = _AxisKit(ax, scale), _AxisKit(ay, scale)
         gx, gy = (g if kit.kind == "finite" else _rescale(g, ratio, "grid positions")
                   for kit, g in zip((kx, ky), (self.gx, self.gy)))
+        if object in (gx.dtype, gy.dtype):
+            raise HeadroomError(f"grid positions overflow the integer kernel "
+                                f"at scale {scale}")
         return WorkFunction(instance, self.i, self.grid, self.last_request,
                             lines, scale, (kx, ky), gx, gy, self.xr, self.yr)
 

@@ -70,3 +70,13 @@ def huge_instance():
     reqs = (request(b, b), request(-b, -b), request(b, -b), request(-b, b),
             request(b, b))
     return Instance(RealLine(), RealLine(), pt(0, 0), reqs)
+
+
+def big_instance():
+    """Requests at (+-2**55, +-2**55): W fits int64 at the instance's scale
+    but passes 2**62 from the third request on at the Lipschitz probe's,
+    32 times that, where every position still fits."""
+    b = 2 ** 55
+    reqs = (request(b, b), request(-b, -b), request(b, -b), request(-b, b),
+            request(b, b), request(-b, b))
+    return Instance(RealLine(), RealLine(), pt(0, 0), reqs)

@@ -1,22 +1,24 @@
 """Online algorithms: the work-function rule, greedy, and retrospective."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
 from wfalab import (AlgorithmConfig, AuditError, ConfigError, Instance,
-                    ProductPoint, RealLine, WfalabError, default_constants,
+                    ProductPoint, RealLine, default_constants,
                     greedy_step, initial, potential, pt, request,
                     retrospective_step, run, run_all, serves, verify_step,
                     wfa_minimizers, wfa_step)
 from wfalab.harness import example_trace
-from wfalab.offline import brute_force_opt
+from wfalab.offline import MAX_ORACLE_REQUESTS, brute_force_opt
 from wfalab.metric import IndexPoint, RealPoint, product_key
 from wfalab.problem import grid_points_on
 
-from conftest import (finite_instance, huge_instance, mixed_instance,
-                      plane_instance, weighted_instance, wide_instance)
+from conftest import (big_instance, finite_instance, huge_instance,
+                      mixed_instance, plane_instance, weighted_instance,
+                      wide_instance)
 
 HALF = Fraction(1, 2)
 
@@ -290,15 +292,50 @@ def test_wfa_minimizers_match_the_fraction_scoring(maker):
     assert bool(wide_scores) == (maker == "wider")
 
 
-def test_runs_past_int64_are_exact_and_verified_ones_refused():
+def probe_notes(trace):
+    """The Lipschitz probe's entries of a verified trace, step by step: the
+    skip note, or None where the probe ran."""
+    out = []
+    for rec in trace.records:
+        names = {c.name: c for c in rec.lemma_report.checks}
+        skip = names.get("lipschitz_probe")
+        assert (skip is None) == ({"lipschitz_nabla", "lipschitz_min_g"} <= names.keys())
+        out.append(skip and skip.note)
+    return out
+
+
+def test_runs_past_int64_are_exact_and_verified_with_the_probe_skipped():
     """Unverified runs whose work-function values pass 2**62 end with the
-    offline optimum.  A verified run stops at step 0 with a WfalabError: the
-    Lipschitz probe moves the request by 1/32, and at scale 32 its
-    coordinate no longer fits the integer kernel."""
+    offline optimum.  Verified runs, audit off and on, do too with no lemma
+    failure: the Lipschitz probe moves the request by 1/32, and where a
+    position then passes 2**62 at its scale 32, it reports itself skipped."""
     inst = huge_instance()
     configs = [AlgorithmConfig("wfa", HALF), AlgorithmConfig("greedy"),
                AlgorithmConfig("retrospective")]
     opt = brute_force_opt(inst)
     assert [t.opt_cost for t in run_all(inst, configs)] == [opt] * 3
-    with pytest.raises(WfalabError, match="^step 0: coordinate .* at scale 32$"):
-        run(inst, configs[0], verify=True)
+    for audit in (False, True):
+        trace = run(inst, configs[0], verify=True, audit=audit)
+        assert (trace.lemma_failures, trace.opt_cost) == (0, opt)
+        notes = probe_notes(trace)
+        assert len(notes) == inst.n
+        for note in notes:
+            assert re.fullmatch(r"skipped: (coordinate \d+ overflows|grid positions "
+                                r"overflow) the integer kernel at scale 32", note)
+
+
+def test_verified_runs_probe_values_past_int64():
+    """At the probe's scale, 32 times the run's, W passes 2**62 while every
+    position fits: the probe runs on Python-int values at every step, and
+    the verified run has no lemma failure."""
+    rng = random.Random(1)
+    coords = (2 ** 53, -2 ** 53, 2 ** 54, -2 ** 54)
+    long_run = Instance(RealLine(), RealLine(), pt(0, 0), tuple(
+        request(rng.choice(coords), rng.choice(coords)) for _ in range(40)))
+    wfa = AlgorithmConfig("wfa", HALF)
+    for inst in (big_instance(), long_run):
+        trace = run(inst, wfa, verify=True)
+        assert trace.lemma_failures == 0
+        assert probe_notes(trace) == [None] * inst.n
+        assert trace.opt_cost == (brute_force_opt(inst) if inst.n <= MAX_ORACLE_REQUESTS
+                                  else run(inst, wfa).opt_cost)

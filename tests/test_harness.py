@@ -19,8 +19,8 @@ from wfalab.errors import AuditError, ConfigError
 from wfalab.harness import (GENERATOR_KINDS, SUMMARY_COLUMNS,
                             TRIAL_SEED_STRIDE, ExperimentConfig,
                             GeneratorConfig, experiment_from_json, generate,
-                            generator_from_json, generator_to_json,
-                            run_experiment, trial_seed)
+                            generator_from_json, run_experiment,
+                            trial_seed)
 from wfalab.metric import IndexPoint, Scaled
 from wfalab.workfn import WorkFunction
 
@@ -124,18 +124,24 @@ def test_trial_seed_stride():
 
 
 def test_generator_json_round_trip():
+    """Each kind's JSON fields parse to the config they name."""
     samples = [
-        GeneratorConfig("example", m=5),
-        GeneratorConfig("uniform_random", n=4, coord_range=6),
-        GeneratorConfig("random_walk", n=4, step_range=3),
-        GeneratorConfig("orthogonal", n=4, coord_range=2),
-        GeneratorConfig("finite_uniform", n=4, size=5),
-        GeneratorConfig("weighted_line", n=4, coord_range=2,
-                        weight_x=Fraction(1, 2), weight_y=3),
+        ({"kind": "example", "m": 5}, GeneratorConfig("example", m=5)),
+        ({"kind": "uniform_random", "n": 4, "range": 6},
+         GeneratorConfig("uniform_random", n=4, coord_range=6)),
+        ({"kind": "random_walk", "n": 4, "stepRange": 3},
+         GeneratorConfig("random_walk", n=4, step_range=3)),
+        ({"kind": "orthogonal", "n": 4, "range": 2},
+         GeneratorConfig("orthogonal", n=4, coord_range=2)),
+        ({"kind": "finite_uniform", "n": 4, "size": 5},
+         GeneratorConfig("finite_uniform", n=4, size=5)),
+        ({"kind": "weighted_line", "n": 4, "range": 2, "weightX": "1/2", "weightY": "3"},
+         GeneratorConfig("weighted_line", n=4, coord_range=2,
+                         weight_x=Fraction(1, 2), weight_y=3)),
     ]
-    assert {g.kind for g in samples} == set(GENERATOR_KINDS)
-    for gen in samples:
-        assert generator_from_json(generator_to_json(gen)) == gen
+    assert {g.kind for _, g in samples} == set(GENERATOR_KINDS)
+    for raw, gen in samples:
+        assert generator_from_json(raw) == gen
     assert generator_from_json({"kind": "finite_uniform", "n": 2, "k": 6}).size == 6
     with pytest.raises(ConfigError):
         generator_from_json({"n": 4})

@@ -115,3 +115,43 @@ def test_potential_reads_no_grid_layout():
              for node in ast.walk(ast.parse((SRC / "potential.py").read_text()))
              if isinstance(node, ast.Attribute) and node.attr in layout]
     assert not found, found
+
+
+# Modules and public names that only the tests reach, each for a reason.
+TEST_ONLY = {
+    # The extended cost's exact oracle.  It stays in the package while
+    # bench/spans.py wraps its names, so that the traced benchmark runs.
+    "pl1d",
+    # The tests' oracle for W at any configuration; brute_force_opt, built
+    # on the same sweep, is the one the harness runs.
+    "offline.brute_force_work_value",
+}
+
+
+def _used_names(path: Path) -> set:
+    """The names a source file's code uses: each Name, Attribute and import
+    alias, not the words of its docstrings or strings."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name.rpartition(".")[2])
+    return names
+
+
+def test_every_public_function_has_a_caller():
+    """Each public module-level function or class of the package is named by
+    code in src/ or bench/, or exported by wfalab.__all__.  One that only
+    the tests reach is a test oracle: it belongs with the tests."""
+    used = set(wfalab.__all__)
+    for path in sorted(SRC.glob("*.py")) + sorted((ROOT / "bench").glob("*.py")):
+        used |= _used_names(path)
+    found = [f"{path.stem}.{node.name}"
+             for path in sorted(SRC.glob("*.py")) if path.stem not in TEST_ONLY
+             for node in ast.parse(path.read_text()).body
+             if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+             and not node.name.startswith("_") and node.name not in used]
+    assert not set(found) - TEST_ONLY, found

@@ -11,9 +11,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from wfalab import (AlgorithmConfig, AuditError, ConfigError, Instance,
-                    ProductPoint, RealLine, RegionSpaceError, RequestPoint,
-                    WfalabError, idx, initial, pt, request, run, run_all,
+from wfalab import (AlgorithmConfig, AuditError, ConfigError, HeadroomError,
+                    Instance, ProductPoint, RealLine, RegionSpaceError,
+                    RequestPoint, idx, initial, pt, request, run, run_all,
                     wfa_minimizers, wfa_step)
 from wfalab.metric import IndexPoint, RealPoint, product_key
 from wfalab import potential
@@ -28,9 +28,9 @@ from wfalab.potential import (Boks, CnnPotential, GeneralPotential, Spheres,
 from wfalab.problem import grid_points_on, serves
 from wfalab.workfn import WorkFunction, _AxisKit
 
-from conftest import (finite_instance, grid_values, mixed_instance,
-                      plane_instance, quarter, weighted_instance,
-                      wide_instance)
+from conftest import (big_instance, finite_instance, grid_values,
+                      huge_instance, mixed_instance, plane_instance, quarter,
+                      weighted_instance, wide_instance)
 
 HALF = Fraction(1, 2)
 
@@ -560,7 +560,15 @@ def test_domination_samples_match_the_fraction_loop(maker):
     broken = 0
     for _ in range(3):
         for _, wf, r in steps(maker(rng, 8)):
-            assert sample_points(wf) == fraction_samples(wf, r)
+            # On a correct W one _w_at call reads the first six off-line
+            # points, the samples, and their two projections.
+            counted = dataclasses.replace(wf)
+            reads = []
+            counted.__dict__["_w_at"] = (lambda m, X, Y:
+                                         reads.append(len(X)) or wf._w_at(m, X, Y))
+            assert sample_points(counted) == fraction_samples(wf, r)
+            off = (len(wf.gx) - 1) * (len(wf.gy) - 1)
+            assert reads == ([3 * min(6, off)] if off else [])
             # One unit off an off-request value of the table the samples read
             # undoes its domination: at the first such cell two_candidate
             # fails, at the last it only does when fewer than six samples
@@ -588,8 +596,8 @@ def test_domination_samples_match_the_fraction_loop(maker):
 
 
 def test_domination_samples_stop_at_the_sixth(monkeypatch):
-    """W off the request's lines is evaluated in blocks only up to the block
-    holding the sixth sample, not over the whole grid."""
+    """W off the request's lines is evaluated only up to the sixth sample,
+    not over the whole grid."""
     wf = run_to_end(plane_instance(random.Random(82), 20))
     cells = []
     w_at = WorkFunction._w_at
@@ -609,10 +617,12 @@ def probe_instance(maker):
         return weighted_instance(rng, 6), HALF, "cnn"
     if maker == "mixed":
         return mixed_instance(rng, 6), HALF, "general"
+    if maker == "big":
+        return big_instance(), HALF, "cnn"
     return wide_instance(), Fraction(997, 1000), "cnn"
 
 
-@pytest.mark.parametrize("maker", ["plane", "weighted", "mixed", "wide"])
+@pytest.mark.parametrize("maker", ["plane", "weighted", "mixed", "wide", "big"])
 def test_rescaled_equals_the_replayed_work_function(maker):
     """W after a shared prefix, rescaled to an instance whose next request
     has its y nudged to a new denominator (as the Lipschitz probe does), is
@@ -647,15 +657,31 @@ def test_rescaled_refuses_what_it_cannot_hold():
     inst = Instance(RealLine(), RealLine(), pt(0, 0),
                     (request(1000, -1000), request(-1000, 1000), request(0, 0)))
     wf = initial(inst).update(inst.requests[0]).update(inst.requests[1])
-    # A denominator of 2**61 - 1 lifts the largest value past 2**62.
+    # A denominator of 2**61 - 1 lifts the grid's positions past 2**62.
     big = Instance(RealLine(), RealLine(), pt(0, 0),
                    inst.requests[:2] + (request(Fraction(1, 2 ** 61 - 1), 0),))
-    with pytest.raises(WfalabError, match="overflow"):
+    with pytest.raises(HeadroomError, match="overflow"):
         wf.rescaled(big)
     other = Instance(RealLine(), RealLine(), pt(0, 0),
                      (request(1000, -1000), request(5, 5), request(0, 0)))
     with pytest.raises(ConfigError):
         wf.rescaled(other)
+
+
+def test_rescaled_keeps_python_int_values():
+    """Values past 2**62 are Python ints, which rescaled takes as they are;
+    a position past 2**62 at the new scale raises HeadroomError."""
+    inst = huge_instance()
+    wf = initial(inst).update(inst.requests[0]).update(inst.requests[1])
+    assert wf.lines.dtype == object
+    same = wf.rescaled(inst)
+    assert same.lines.dtype == object and np.array_equal(same.lines, wf.lines)
+    assert same.anchors == wf.anchors
+    r = inst.requests[2]
+    probe = Instance(inst.space_x, inst.space_y, inst.origin, inst.requests[:2]
+                     + (RequestPoint(r.x, RealPoint(r.y.value + Fraction(1, 32))),))
+    with pytest.raises(HeadroomError, match="^grid positions overflow .* scale 32$"):
+        wf.rescaled(probe)
 
 
 def test_default_constants_are_one_config_per_lambda_and_variant():
