@@ -54,12 +54,11 @@ from typing import Optional, Tuple, Union
 
 import numpy as np
 
-from .errors import (AuditError, ConfigError, HeadroomError, RegionSpaceError,
-                     WfalabError)
+from .errors import AuditError, ConfigError, HeadroomError, RegionSpaceError
 from .exact import frac
 from .metric import IndexPoint, ProductPoint, RealPoint
 from .problem import Instance, RequestPoint, serves
-from .workfn import _HEADROOM, WorkFunction, _AxisKit, _int_dtype, _param_value
+from .workfn import WorkFunction, _AxisKit, _int_dtype, _param_value
 
 HALF = Fraction(1, 2)
 
@@ -489,10 +488,10 @@ def _candidates(wf: WorkFunction, m: int = 1) -> np.ndarray:
         if kit.kind == "finite":
             axes.append((np.arange(len(kit.D)), at))
             continue
-        if m * int(np.abs(g).max()) >= _HEADROOM:
-            raise WfalabError("grid positions overflow the refined candidates")
-        # Column t of row k is t/m of the way from g[k] to g[k + 1].
-        t = np.arange(m)
+        # Column t of row k is t/m of the way from g[k] to g[k + 1], in the
+        # dtype its own bound picks.
+        g = g.astype(_int_dtype(m * int(np.abs(g).max())), copy=False)
+        t = np.arange(m, dtype=g.dtype)
         fine = np.append((g[:-1, None] * (m - t) + g[1:, None] * t).ravel(), m * g[-1])
         axes.append((fine, m * int(g.searchsorted(at))))
     (xs, a), (ys, b) = axes
@@ -539,7 +538,10 @@ class _Base:
         self.axes = []
         for kit, g, C in zip(wf.kits, (ax, ay), P.T):
             fine, G = kit.refine(m, dtype, g)
-            self.axes.append((fine, C if kit.kind == "finite" else C.astype(dtype), G))
+            # A finite axis's candidates are indices, int64 even where a line
+            # axis's positions made P Python ints.
+            self.axes.append((fine, C.astype(np.int64 if kit.kind == "finite" else dtype),
+                              G))
         (kx, X, _), (ky, Y, _) = self.axes
         self.GW = av.astype(dtype) * m
         self.W = wf._w_at(m, X, Y).astype(dtype, copy=False)

@@ -7,6 +7,15 @@ coordinates: every configuration is dominated by such a point, so W
 anywhere, the grid's full table included, is an exact minimum over those
 that no other dominates (the anchors).
 
+The anchors take one sweep per line, with no table of pairs.  Along a line
+axis, with p its cells' positions in ascending order and v their values, a
+cell j left of cell k dominates it when v_j - p_j <= v_k - p_k, and one
+right of it when v_j + p_j <= v_k + p_k: prefix minima of v - p and suffix
+minima of v + p (_sweep, the 1-D L1 distance transform) settle every cell in
+O(L).  The other line's cells reach a cell only through the lines'
+crossing, so that line's least value plus distance to the crossing settles
+them all at once.  A finite axis's few cells are compared pairwise.
+
 The update is W_i(s) = min over t serving r_i of W_{i-1}(t) + d(t, s), which
 for s = (x, y) is exactly
 
@@ -36,26 +45,31 @@ cones with apex <= p) and one falling line (apex >= p'), so it bends only
 where those cross.  f - g is thus linear between consecutive apexes and
 crossings, and no larger beyond the outermost apexes (slope lam - 1 <= 0
 outward): its maximum is at one of them.  Positions and values scaled by
-2*num(lam), and f by den(lam), make each of them an integer.  g and the
-apexes do not depend on lam, so extended_costs runs the kernel for several
-lambdas at once, one row per lambda at its own scale.
+2*num(lam), and f by den(lam), make each of them an integer.  The rising and
+falling lines are _sweep's prefix and suffix minima over the apexes in
+ascending order, so the candidates come in O(A) for A anchors, and each
+envelope is evaluated at one by bisection among the apexes (_cones): O(A log
+A) per lambda.  The offsets and the apexes' order do not depend on lam, so
+extended_costs computes them once per line for all its lambdas.
 
 Internally values are integers at a fixed per-instance scale (the lcm of
-all coordinate and weight denominators), int64 where a kernel has headroom
-and Python ints otherwise.  Kernels work on integer positions (gx, gy, the
-anchors', the last request's _at); grid indices (xr, yr) only lay out lines
-(_line_cells).  _points turns positions into points, and W anywhere is the
+all coordinate and weight denominators), int64 where a numpy kernel has
+headroom and Python ints otherwise; the anchor and extended-cost sweeps run
+in Python ints, which are exact at any magnitude.  Kernels work on integer
+positions (gx, gy, the anchors', the last request's _at); grid indices (xr,
+yr) only lay out lines (_line_cells).  _points turns positions into points, and W anywhere is the
 minimum over the anchors (_w_at).  The public API only speaks Fraction.
 """
 
 from __future__ import annotations
 
 import copy
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from operator import attrgetter
+from itertools import accumulate, compress
+from operator import add, attrgetter
 from typing import Iterable, Optional, Tuple
 
 import numpy as np
@@ -175,36 +189,61 @@ class _AxisKit:
         fine.D = self.D.astype(dtype) * m
         return fine, pos
 
-    def peaks(self, P: np.ndarray, envelopes) -> np.ndarray:
-        """Positions where a difference of lower envelopes of cones can peak:
-        all of a finite space; on a line, for each row of positions P (a row
-        per multiple of the scale), each envelope's apexes and its crossings
-        between consecutive apexes, integers when every offset +- slope *
-        apex is a multiple of 2 * slope.  An envelope is (count, offsets,
-        slopes): its apexes are the first count of P's columns, its offsets
-        a row per row of P, its slopes a column or a number."""
-        if self.kind == "finite":
-            return np.arange(len(self.D))
-        # A Python sort: numpy's first sort in a process maps 0.4 MB more code.
-        order = np.array(sorted(range(P.shape[1]), key=P[0].tolist().__getitem__))
-        parts = []
-        for count, off, c in envelopes:
-            at = order if count == len(order) else order[order < count]
-            apex, off = P.take(at, axis=1), off.take(at, axis=1)
-            tilt = c * apex
-            rising = np.minimum.accumulate(off - tilt, axis=1)
-            falling = np.minimum.accumulate((off + tilt)[:, ::-1], axis=1)[:, ::-1]
-            cross = (falling[:, 1:] - rising[:, :-1]) // (2 * c)
-            parts += [apex, np.minimum(np.maximum(cross, apex[:, :-1]), apex[:, 1:])]
-        return np.concatenate(parts, axis=1)
+
+def _sweep(pos: list, off: list, c: int = 1) -> tuple:
+    """(rise, fall) over positions pos, ascending, with offsets off:
+    rise[k] is the least off[j] - c*pos[j] over j <= k, fall[k] the least
+    off[j] + c*pos[j] over j >= k.  Between pos[k] and pos[k + 1] the lower
+    envelope of the cones off[j] + c*|z - pos[j]| is thus
+    min(rise[k] + c*z, fall[k + 1] - c*z)."""
+    rise = list(accumulate([o - c * p for p, o in zip(pos, off)], min))
+    fall = list(accumulate([o + c * p for p, o in zip(reversed(pos), reversed(off))],
+                           min))
+    fall.reverse()
+    return rise, fall
 
 
-def _column(values: list, dtype):
-    """values down a column, to broadcast one per row; a single value stays
-    a number, which numpy broadcasts faster than a 1 x 1 array."""
-    if len(values) == 1:
-        return values[0]
-    return np.array(values, dtype=dtype)[:, None]
+def _cones(pos: list, off: list, c: int) -> tuple:
+    """The lower envelope of the cones off[k] + c*|z - pos[k]|, pos
+    ascending, as (its value at an integer z, the integers where it can
+    bend): the apexes, and between consecutive apexes the floor of where
+    the rising and the falling line cross, clamped to them."""
+    rise, fall = _sweep(pos, off, c)
+    n = len(pos)
+
+    def at(z: int) -> int:
+        k = bisect_right(pos, z)
+        if k == 0:
+            return fall[0] - c * z
+        if k == n:
+            return rise[-1] + c * z
+        return min(rise[k - 1] + c * z, fall[k] - c * z)
+
+    return at, pos + [min(max((fall[k + 1] - rise[k]) // (2 * c), pos[k]), pos[k + 1])
+                      for k in range(n - 1)]
+
+
+def _undominated(kit: _AxisKit, pos: list, vals: list, to_corner: list, via) -> list:
+    """Whether each cell of one request line, at positions pos along it
+    (ascending on a line axis) with values vals, is dominated by no other
+    cell: of its own line, by the sweeps on a line axis, pairwise over the
+    few points of a finite one; of the other line, through the lines'
+    crossing, to_corner[k] from cell k, which that line reaches at value via
+    at best (None when it has no cells)."""
+    n = len(pos)
+    if kit.kind == "finite":
+        D = kit.D.tolist()
+        keep = [all(vals[j] + D[pos[j]][p] > v for j in range(n) if j != k)
+                for k, (p, v) in enumerate(zip(pos, vals))]
+    else:
+        # Cell j dominates a cell k to its right when v_j - p_j <= v_k - p_k,
+        # and one to its left when v_j + p_j <= v_k + p_k.
+        rise, fall = _sweep(pos, vals)
+        keep = [(k == 0 or rise[k - 1] > v - p) and (k == n - 1 or fall[k + 1] > v + p)
+                for k, (p, v) in enumerate(zip(pos, vals))]
+    if via is None:
+        return keep
+    return [k and via + d > v for k, d, v in zip(keep, to_corner, vals)]
 
 
 def _added(points: tuple, pos: np.ndarray, p: SpacePoint, q) -> tuple:
@@ -283,21 +322,22 @@ class WorkFunction:
         """(x positions, y positions, values) of the grid cells on the last
         request's lines, in grid_points_on order, less those dominated by
         another.  Every configuration is dominated by one of the rest, so a
-        minimum over them evaluates W anywhere."""
-        cx, cy = self._line_cells
+        minimum over them evaluates W anywhere.  The values keep lines'
+        dtype."""
         kx, ky = self.kits
-        px, py = self.gx[cx], self.gy[cy]
-        # Each distance fits int64; their sum with a value takes Python ints
-        # when its own bound shows int64 could overflow.
-        dtype = _int_dtype(int(self.lines.max()) + kx.span(px) + ky.span(py))
-        av = self.lines.astype(dtype, copy=False)
-        t = kx.dist(px[:, None], px).astype(dtype, copy=False)
-        t += ky.dist(py[:, None], py)
-        t += av[:, None]
-        dominated = t <= av[None, :]
-        np.fill_diagonal(dominated, False)
-        keep = ~dominated.any(axis=0)
-        return px[keep], py[keep], av[keep]
+        x0, y0 = self._at
+        # The vertical line's cells, then the horizontal line's but the
+        # crossing, which the vertical line holds.
+        gx = np.delete(self.gx, self.xr)
+        xs, ys, vals = gx.tolist(), self.gy.tolist(), self.lines.tolist()
+        ny = len(ys)
+        vert, hor = vals[:ny], vals[ny:]
+        dx, dy = kx.dist(gx, x0).tolist(), ky.dist(self.gy, y0).tolist()
+        keep = (_undominated(ky, ys, vert, dy, min(map(add, hor, dx), default=None))
+                + _undominated(kx, xs, hor, dx, min(map(add, vert, dy))))
+        return (np.array(list(compress([x0] * ny + xs, keep)), dtype=np.int64),
+                np.array(list(compress(ys + [y0] * len(xs), keep)), dtype=np.int64),
+                np.array(list(compress(vals, keep)), dtype=self.lines.dtype))
 
     @cached_property
     def anchor_points(self) -> Tuple[ProductPoint, ...]:
@@ -461,8 +501,8 @@ class WorkFunction:
         return self.extended_costs(r_next, [lam])[0]
 
     def extended_costs(self, r_next: RequestPoint, lams) -> list:
-        """[extended_cost(r_next, lam) for lam in lams], in one kernel pass
-        per line: row l of the pass is lams[l] at its own scale."""
+        """[extended_cost(r_next, lam) for lam in lams], each lam at its own
+        scale, from one pass per line over what no lam changes."""
         lams = [_param_value(lam) for lam in lams]
         kx, ky = self.kits
         nxt = (kx.pos([r_next.x])[0], ky.pos([r_next.y])[0])
@@ -474,51 +514,53 @@ class WorkFunction:
         """max of f - g (module docstring), with its witness, for each lam in
         lams on the last request's line whose `fixed` coordinate is the
         request's; u is that axis, v the other.  nxt holds the next request's
-        positions, one per axis.  Row l works at m = 2 * num(lams[l])
-        times the scale, and f at den(lams[l]) times that."""
+        positions, one per axis.  For lam = p/q the kernel works at m = 2p
+        times the scale on a line axis (1 on a finite one), and f at q times
+        that, in Python ints."""
         ax, ay, w = self._anchor_cells
         axes = [(self.kits[0], ax, self.grid.xs[self.xr], self._at[0], nxt[0]),
                 (self.kits[1], ay, self.grid.ys[self.yr], self._at[1], nxt[1])]
         (ku, apu, u_prev, u_at, u_next), (kv, apv, _, _, v_next) = (
             axes if fixed == "x" else axes[::-1])
-        du = ku.dist(apu[:, None], np.array([u_at, u_next]))  # to r_prev.u, r_next.u
+        # What no lam changes: each anchor's value plus its distance to
+        # r_prev.u (g's offsets) and to r_next.u (f's), the terms of k, and
+        # the apexes in ascending order.
+        w, v_next = w.tolist(), int(v_next)
+        du0 = ku.dist(apu, u_at).tolist()
+        g_off = list(map(add, w, du0))
+        f_off = list(map(add, w, ku.dist(apu, u_next).tolist()))
+        k_w = list(map(add, w, kv.dist(apv, v_next).tolist()))
         shift = int(ku.dist(u_next, u_at))
-        vpos = np.append(apv, v_next)  # the cone apexes, r_next.v's last
-        dv = kv.dist(apv, v_next)
-        # Every term of row l is under q * m * big in magnitude, every
-        # difference under twice that; positions enter the crossings, spans
-        # the sums.
-        big = (int(w.max()) + int(du.max()) + shift + 2 * kv.span(vpos)
-               + int(np.abs(vpos).max()))
-        reach = max(4 * lam.numerator * lam.denominator for lam in lams)
-        dtype = _int_dtype(reach * big)
-        p, q = (_column([getattr(lam, part) for lam in lams], dtype)
-                for part in ("numerator", "denominator"))
-        # Row l is at m = 2 * p times the scale on a line.  A finite axis has
-        # no crossings to make integers, so it keeps m = 1, and its
-        # positions stay indices.
-        line = kv.kind == "line"
-        m = 2 * p if line else 1
-        w, du0, du1, dv = (a.astype(dtype, copy=False)[None]
-                           for a in (w, du[:, 0], du[:, 1], dv))
-        V = vpos.astype(dtype, copy=False)[None] * m if line else vpos[None]
-        g_off = m * (w + du0)
-        mp, mq = m * p, m * q
-        f_off = np.concatenate([mq * (w + du1) + mp * shift,
-                                (mq * (w + dv) + mp * du0).min(axis=1, keepdims=True)],
-                               axis=1)
-        z = kv.peaks(V, [(len(apv), g_off, 1), (len(vpos), f_off, p)])
-        d = kv.dist(V[..., None], z[..., None, :]).astype(dtype, copy=False)
-        g = (g_off[:, :, None] + d[:, :-1]).min(axis=1)
-        f = (f_off[:, :, None]
-             + d * (p[:, :, None] if isinstance(p, np.ndarray) else p)).min(axis=1)
-        h = f - q * g
+        apv = apv.tolist()
         out = []
-        zs = z.tolist() if line else [z.tolist()] * len(lams)
-        for lam, best, zl, hl in zip(lams, h.max(axis=1).tolist(), zs, h.tolist()):
-            mm = 2 * lam.numerator if line else 1
-            s = kv.point(min(c for c, v in zip(zl, hl) if v == best), mm)
-            out.append((Fraction(int(best), self.scale * mm * lam.denominator),
+        if kv.kind == "finite":
+            D = kv.D.tolist()
+            g = [min(o + D[a][z] for o, a in zip(g_off, apv)) for z in range(len(D))]
+        else:
+            order = sorted(range(len(apv)), key=apv.__getitem__)
+            apv, g_off, f_off = ([a[i] for i in order] for a in (apv, g_off, f_off))
+            cut = bisect_right(apv, v_next)  # r_next.v's place among the apexes
+        for lam in lams:
+            p, q = lam.numerator, lam.denominator
+            k = min(q * a + p * b for a, b in zip(k_w, du0))
+            if kv.kind == "finite":
+                m, zs = 1, range(len(D))
+                f = [min(k + p * D[v_next][z],
+                         *(q * o + p * (shift + D[a][z]) for o, a in zip(f_off, apv)))
+                     for z in zs]
+                f_at, g_at = f.__getitem__, g.__getitem__
+            else:
+                m = 2 * p
+                V = [m * a for a in apv]
+                g_at, g_bends = _cones(V, [m * o for o in g_off], 1)
+                F = [m * (q * o + p * shift) for o in f_off]
+                f_at, f_bends = _cones(V[:cut] + [m * v_next] + V[cut:],
+                                       F[:cut] + [m * k] + F[cut:], p)
+                zs = set(g_bends + f_bends)
+            # The largest f - q*g, at its smallest candidate.
+            best, z = max((f_at(z) - q * g_at(z), -z) for z in zs)
+            s = kv.point(-z, m)
+            out.append((Fraction(best, self.scale * m * q),
                         ProductPoint(u_prev, s) if fixed == "x" else ProductPoint(s, u_prev)))
         return out
 

@@ -56,6 +56,12 @@ def wide_instance():
     return Instance(RealLine(), RealLine(), pt(0, 0), reqs)
 
 
+def far_instance():
+    """300 quarter-integer requests in [-1000, 1000]^2: about 600 cells on
+    the last request's lines."""
+    return plane_instance(random.Random(61), 300, bound=1000)
+
+
 def grid_values(wf):
     """scale * W on the whole grid, [a, b] at (grid.xs[a], grid.ys[b]),
     derived from the anchors."""

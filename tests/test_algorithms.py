@@ -7,11 +7,11 @@ from fractions import Fraction
 import pytest
 
 from wfalab import (AlgorithmConfig, AuditError, ConfigError, Instance,
-                    ProductPoint, RealLine, default_constants,
+                    ProductPoint, RealLine, RequestPoint, default_constants,
                     greedy_step, initial, potential, pt, request,
                     retrospective_step, run, run_all, serves, verify_step,
                     wfa_minimizers, wfa_step)
-from wfalab.harness import example_trace
+from wfalab.harness import example_trace, uniform_metric
 from wfalab.offline import MAX_ORACLE_REQUESTS, brute_force_opt
 from wfalab.metric import IndexPoint, RealPoint, product_key
 from wfalab.problem import grid_points_on
@@ -322,6 +322,31 @@ def test_runs_past_int64_are_exact_and_verified_with_the_probe_skipped():
         for note in notes:
             assert re.fullmatch(r"skipped: (coordinate \d+ overflows|grid positions "
                                 r"overflow) the integer kernel at scale 32", note)
+
+
+@pytest.mark.parametrize("kind", ["plane", "mixed"])
+def test_audit_refines_candidates_past_two_to_the_61(kind):
+    """The audit's midpoints are positions at twice the scale, which pass
+    2**62 from coordinate 2**61 on and then take Python ints: with the audit
+    on, as with it off, the run verifies with no lemma failure and ends at
+    the offline optimum."""
+    b = 2 ** 61
+    if kind == "plane":
+        inst = Instance(RealLine(), RealLine(), pt(0, 0),
+                        (request(b, b), request(-b, 3), request(5, -b)))
+        pot = "cnn"
+    else:
+        reqs = tuple(RequestPoint(IndexPoint(k + 1), RealPoint(y))
+                     for k, y in enumerate((b, -b, 3)))
+        inst = Instance(uniform_metric(4), RealLine(),
+                        ProductPoint(IndexPoint(0), RealPoint(0)), reqs)
+        pot = "general"
+    for audit in (False, True):
+        trace = run(inst, AlgorithmConfig("wfa", HALF), verify=True, potential=pot,
+                    audit=audit)
+        assert (trace.lemma_failures, trace.opt_cost) == (0, brute_force_opt(inst))
+        names = [c.name for rec in trace.records for c in rec.lemma_report.checks]
+        assert names.count("audit_no_improvement") == (inst.n if audit else 0)
 
 
 def test_verified_runs_probe_values_past_int64():

@@ -18,13 +18,22 @@ from wfalab.metric import FiniteMatrix, IndexPoint, product_key
 from wfalab.offline import (brute_force_opt, brute_force_work_value,
                             dense_slack_max)
 from wfalab.problem import grid_after, grid_points_on
-from wfalab.workfn import _AxisKit
+from wfalab.workfn import _AxisKit, _int_dtype
 
-from conftest import (finite_instance, grid_values, huge_instance,
-                      mixed_instance, plane_instance, quarter,
+from conftest import (far_instance, finite_instance, grid_values,
+                      huge_instance, mixed_instance, plane_instance, quarter,
                       weighted_instance, wide_instance)
 
 HALF = Fraction(1, 2)
+
+MAKERS = {"plane": plane_instance, "weighted": weighted_instance,
+          "finite": finite_instance, "mixed": mixed_instance}
+EXTRA = {"wide": wide_instance, "huge": huge_instance, "far": far_instance}
+
+
+def make(kind, seed, n):
+    """A test instance: MAKERS' with n requests from seed, or EXTRA's."""
+    return EXTRA[kind]() if kind in EXTRA else MAKERS[kind](random.Random(seed), n)
 
 
 def run_to_end(inst):
@@ -153,6 +162,56 @@ def test_update_allocates_no_cubic_temporary():
     assert peak < cubic_bytes / 8
     _, peak = traced_update(wf, inst.requests[-1])
     assert peak < nx * ny * 8
+
+
+def oracle_anchor_cells(wf):
+    """The anchors by their definition, over an L x L table of the last
+    request's L line cells: (x positions, y positions, values) of the cells
+    that no other cell dominates, in grid_points_on order."""
+    cx, cy = wf._line_cells
+    kx, ky = wf.kits
+    px, py = wf.gx[cx], wf.gy[cy]
+    dtype = _int_dtype(int(wf.lines.max()) + kx.span(px) + ky.span(py))
+    av = wf.lines.astype(dtype, copy=False)
+    t = kx.dist(px[:, None], px).astype(dtype, copy=False)
+    t += ky.dist(py[:, None], py)
+    t += av[:, None]
+    dominated = t <= av[None, :]
+    np.fill_diagonal(dominated, False)
+    keep = ~dominated.any(axis=0)
+    return px[keep], py[keep], av[keep]
+
+
+@pytest.mark.parametrize("kind", sorted({**MAKERS, **EXTRA}))
+def test_anchors_match_the_pairwise_oracle(kind):
+    """The sweeps keep exactly the cells the pairwise table keeps: the same
+    positions and values, in the same order, at every step."""
+    inst = make(kind, 73, 8)
+    wf = initial(inst)
+    for r in inst.requests:
+        wf = wf.update(r)
+        got, want = wf._anchor_cells, oracle_anchor_cells(wf)
+        assert [a.tolist() for a in got] == [a.tolist() for a in want]
+
+
+def test_anchors_and_extended_cost_hold_no_quadratic_table():
+    """On a work function with about 600 line cells, the anchors and the
+    extended cost at three lambdas hold far less than an L x L int64
+    table: under L**2 bytes, an eighth of one."""
+    inst = far_instance()
+    wf = initial(inst)
+    for r in inst.requests[:-1]:
+        wf = wf.update(r)
+    L = len(wf.lines)
+    assert L >= 550
+    tracemalloc.start()
+    try:
+        wf._anchor_cells
+        wf.extended_costs(inst.requests[-1], [Fraction(1, 4), HALF, Fraction(1)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < L * L * 8 / 8
 
 
 def test_one_lipschitz_on_grid():
@@ -329,10 +388,6 @@ def oracle_line_max(wf, fixed, r_next, lam):
     return value, s
 
 
-MAKERS = {"plane": plane_instance, "weighted": weighted_instance,
-          "finite": finite_instance}
-
-
 @settings(max_examples=60, deadline=None)
 @given(kind=st.sampled_from(sorted(MAKERS)), seed=st.integers(0, 2 ** 32),
        n=st.integers(1, 5),
@@ -340,12 +395,16 @@ MAKERS = {"plane": plane_instance, "weighted": weighted_instance,
 @example(kind="plane", seed=34, n=5, lam=Fraction(1))
 @example(kind="weighted", seed=35, n=5, lam=Fraction(1))
 @example(kind="finite", seed=36, n=5, lam=Fraction(1))
+@example(kind="mixed", seed=37, n=5, lam=Fraction(1, 3))
 @example(kind="wide", seed=0, n=4, lam=Fraction(997, 1000))
+@example(kind="huge", seed=0, n=5, lam=Fraction(1, 2))
+@example(kind="huge", seed=0, n=5, lam=Fraction(5, 7))
 def test_extended_cost_matches_the_pl1d_oracle(kind, seed, n, lam):
     """Exactly the oracle's value at every step, and slack at the witness
     equals it.  The witnesses agree too, except at lam = 1, where pl1d
-    reports a maximum on a flat left tail at the tail's right end."""
-    inst = wide_instance() if kind == "wide" else MAKERS[kind](random.Random(seed), n)
+    reports a maximum on a flat left tail at the tail's right end.  The
+    huge instance's W passes 2**62 from its second request on."""
+    inst = make(kind, seed, n)
     wf = initial(inst)
     for r in inst.requests:
         value, witness = wf.extended_cost(r, lam)
@@ -367,8 +426,7 @@ def test_extended_costs_are_each_lambda_alone(kind):
         inst = wide_instance()
         lams.append(Fraction(997, 1000))
     else:
-        make = {**MAKERS, "mixed": mixed_instance}[kind]
-        inst = make(random.Random(71), 6)
+        inst = MAKERS[kind](random.Random(71), 6)
     wf = initial(inst)
     for r in inst.requests:
         assert wf.extended_costs(r, lams) == [wf.extended_cost(r, lam) for lam in lams]
