@@ -24,8 +24,7 @@ from .potential import (Boks, CheckResult, CnnPotential, GeneralPotential,
                         LemmaReport, PotentialConfig, Spheres, config_from_json,
                         config_to_json, default_constants, f_value, g_value,
                         h_value, min_f, min_g, min_h, phi, potential_for,
-                        potential_from_json, region_membership, region_slack,
-                        verify_step)
+                        potential_from_json, region_slack, verify_step)
 from .problem import (Grid, Instance, RequestPoint, grid_after,
                       grid_points_on, request, serves)
 from .workfn import WorkFunction, initial, instance_scale
@@ -46,8 +45,7 @@ __all__ = [
     "g_value", "greedy_step", "grid_after", "grid_points_on", "h_value", "idx",
     "initial", "instance_scale", "max_difference", "min_f", "min_g", "min_h",
     "phi", "point_from_json", "point_key", "point_to_json", "pointwise_min",
-    "potential_for", "potential_from_json",
-    "product_distance", "product_key", "pt", "real", "region_membership",
-    "region_slack", "request", "resolve", "retrospective_step", "run",
-    "run_all", "scaled_int", "serves", "verify_step", "wfa_minimizers", "wfa_step",
+    "potential_for", "potential_from_json", "product_distance", "product_key",
+    "pt", "real", "region_slack", "request", "resolve", "retrospective_step",
+    "run", "run_all", "scaled_int", "serves", "verify_step", "wfa_minimizers", "wfa_step",
 ]

@@ -119,12 +119,17 @@ def wfa_minimizers(wf_after: WorkFunction, current: ProductPoint, lam) -> list:
             for i, j in cands[hits].tolist()]
 
 
+def _tie_break(instance: Instance, current: ProductPoint, mins: list) -> ProductPoint:
+    """The work-function rule's move among its minimizers: the smallest
+    move, then the first in product_key order."""
+    return min(mins, key=lambda t: (instance.distance(current, t), product_key(t)))
+
+
 def wfa_step(wf_after: WorkFunction, current: ProductPoint, lam) -> ProductPoint:
     """Move of the work-function rule; ties resolved by smallest move, then
     lexicographically."""
-    mins = wfa_minimizers(wf_after, current, lam)
-    inst = wf_after.instance
-    return min(mins, key=lambda t: (inst.distance(current, t), product_key(t)))
+    return _tie_break(wf_after.instance, current,
+                      wfa_minimizers(wf_after, current, lam))
 
 
 def greedy_step(instance: Instance, current: ProductPoint,
@@ -209,8 +214,7 @@ class _Lane:
         if self.config.kind == "wfa":
             mins = wfa_minimizers(wf_next, pos, self.config.lam)
             ties = len(mins)
-            new_pos = min(mins, key=lambda t: (instance.distance(pos, t),
-                                               product_key(t)))
+            new_pos = _tie_break(instance, pos, mins)
         elif self.config.kind == "greedy":
             new_pos = greedy_step(instance, pos, r)
         else:

@@ -184,9 +184,26 @@ def _rational(value, key: str) -> Fraction:
         raise ConfigError(f"{key}: {exc}") from None
 
 
+def _known_keys(raw: dict, keys: tuple, what: str) -> None:
+    """Refuse a key of raw outside keys, naming it: a misspelt field would
+    otherwise load as its default."""
+    for key in raw:
+        if key not in keys:
+            raise ConfigError(f"unknown key {key!r} in {what}")
+
+
+GENERATOR_KEYS = ("kind", "m", "n", "range", "stepRange", "size", "k",
+                  "weightX", "weightY")
+ALGORITHM_KEYS = ("kind", "lambda")
+EXPERIMENT_KEYS = ("generator", "algorithms", "lambdas", "potential", "trials",
+                   "seed", "verify", "audit", "outDir")
+
+
 def generator_from_json(raw: dict) -> GeneratorConfig:
     if not isinstance(raw, dict) or "kind" not in raw:
         raise ConfigError("generator config must be an object with a kind")
+    # k is an alias of size.
+    _known_keys(raw, GENERATOR_KEYS, "the generator config")
     return GeneratorConfig(
         kind=raw["kind"],
         m=_field(raw, "m", int, 0),
@@ -220,6 +237,15 @@ class ExperimentConfig:
             if type(value) is not int or value < 0:
                 raise ConfigError(f"{name} must be a nonnegative int, got {value!r}")
         object.__setattr__(self, "algorithms", tuple(self.algorithms))
+        # One label names one trace file and one summary row.
+        labels = set()
+        for alg in self.algorithms:
+            if alg.label in labels:
+                raise ConfigError(f"algorithm {alg.label} is listed twice")
+            labels.add(alg.label)
+        # run_all audits verified runs only.
+        if self.audit and not self.verify:
+            raise ConfigError("audit needs verify")
         # A batch that cannot be verified fails here, before any run.
         for alg in self.algorithms if self.verify else ():
             if alg.kind == "wfa":
@@ -235,28 +261,27 @@ def _algorithms_from_json(raw_list, lambdas) -> tuple:
         if isinstance(item, str):
             kind, lam = item, None
         elif isinstance(item, dict):
+            _known_keys(item, ALGORITHM_KEYS, "an algorithm entry")
             kind = item.get("kind")
             lam = item.get("lambda")
         else:
             raise ConfigError(f"bad algorithm entry {item!r}")
-        if kind == "wfa":
-            if lam is not None:
-                out.append(AlgorithmConfig("wfa", _rational(lam, "lambda")))
-            elif lambdas:
-                out.extend(AlgorithmConfig("wfa", v) for v in lambdas)
-            else:
+        if lam is not None:
+            out.append(AlgorithmConfig(kind, _rational(lam, "lambda")))
+        elif kind == "wfa":
+            if not lambdas:
                 raise ConfigError(
                     "wfa entries need an explicit lambda or a lambdas list")
-        elif kind in ("greedy", "retrospective"):
-            out.append(AlgorithmConfig(kind))
+            out.extend(AlgorithmConfig("wfa", v) for v in lambdas)
         else:
-            raise ConfigError(f"unknown algorithm kind {kind!r}")
+            out.append(AlgorithmConfig(kind))
     return tuple(out)
 
 
 def experiment_from_json(raw: dict) -> ExperimentConfig:
     if not isinstance(raw, dict):
         raise ConfigError("experiment config must be a JSON object")
+    _known_keys(raw, EXPERIMENT_KEYS, "the experiment config")
     if "generator" not in raw:
         raise ConfigError("experiment config needs a generator")
     gen = generator_from_json(raw["generator"])

@@ -1,10 +1,14 @@
 """Brute-force oracles, kept deliberately independent of the engine.
 
-The path oracle computes work-function values by minimizing over explicit
-serving paths whose serve points run over grid coordinates (a Bellman sweep
-over the candidate lists; optimal substructure collapses the enumeration
-without changing what is enumerated).  The tests cross-check the sweep
-against a literal product-of-candidates enumeration on very small prefixes.
+The path oracle minimizes over explicit serving paths whose serve points run
+over grid coordinates (a Bellman sweep over the candidate lists; optimal
+substructure collapses the enumeration without changing what is
+enumerated).  brute_force_opt, the cheapest full path, is the offline
+optimum the batch runner checks every trial against.  The oracle for W at
+any configuration, the cheapest path ending there, is built on the same
+sweep and lives with the tests (tests/conftest.py), which cross-check the
+sweep against a literal product-of-candidates enumeration on very small
+prefixes.
 
 Dense-grid maximizers for slack quantities sample a fine lattice in float64.
 They back tolerance-style comparisons (2^-5 and coarser), far above float
@@ -21,7 +25,6 @@ import numpy as np
 
 from .errors import ConfigError, SizeGuardError
 from .exact import frac
-from .metric import ProductPoint
 from .problem import Instance, RequestPoint, grid_after, grid_points_on
 from .workfn import WorkFunction, _param_value
 
@@ -41,12 +44,6 @@ def _sweep(instance: Instance, i: int) -> dict:
         best = {p: min(c + d(q, p) for q, c in best.items())
                 for p in grid_points_on(grid, r)}
     return best
-
-
-def brute_force_work_value(instance: Instance, i: int, s: ProductPoint) -> Fraction:
-    """Cheapest path origin -> serve r_1 .. r_i -> s over grid serve points."""
-    d = instance.distance
-    return min(c + d(q, s) for q, c in _sweep(instance, i).items())
 
 
 def brute_force_opt(instance: Instance) -> Fraction:

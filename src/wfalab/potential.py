@@ -56,7 +56,7 @@ import numpy as np
 
 from .errors import AuditError, ConfigError, HeadroomError, RegionSpaceError
 from .exact import frac
-from .metric import IndexPoint, ProductPoint, RealPoint
+from .metric import ProductPoint, RealPoint
 from .problem import Instance, RequestPoint, serves
 from .workfn import WorkFunction, _AxisKit, _int_dtype, _param_value
 
@@ -356,36 +356,6 @@ def _interval_coords(a, b) -> tuple:
     if not (isinstance(a, RealPoint) and isinstance(b, RealPoint)):
         raise RegionSpaceError("box regions are only defined over line components")
     return (a.value, b.value) if a.value <= b.value else (b.value, a.value)
-
-
-def region_membership(region: Region, t: ProductPoint,
-                      instance: Optional[Instance] = None) -> bool:
-    """Exact membership test; finite-axis ball tests need the instance for
-    the distance table."""
-    if isinstance(region, Boks):
-        lo, hi = _interval_coords(region.s1.x, region.s2.x)
-        if not (isinstance(t.x, RealPoint) and lo <= t.x.value <= hi):
-            return False
-        lo, hi = _interval_coords(region.s1.y, region.s2.y)
-        return isinstance(t.y, RealPoint) and lo <= t.y.value <= hi
-    if isinstance(region, Spheres):
-        return (_in_ball(region.s1.x, region.s2.x, t.x, region.eta, instance, 0)
-                and _in_ball(region.s1.y, region.s2.y, t.y, region.eta, instance, 1))
-    raise RegionSpaceError(f"unknown region {region!r}")
-
-
-def _in_ball(center, other, t, eta, instance, axis) -> bool:
-    if isinstance(center, RealPoint) and isinstance(other, RealPoint):
-        if not isinstance(t, RealPoint):
-            return False
-        return abs(t.value - center.value) <= eta * abs(center.value - other.value)
-    if instance is None:
-        raise RegionSpaceError(
-            "ball membership on a finite component needs the instance")
-    table = instance._axes[axis].matrix
-    if table is None or not isinstance(t, IndexPoint):
-        raise RegionSpaceError("point kind does not match the component space")
-    return table[center.index][t.index] <= eta * table[center.index][other.index]
 
 
 def _axis_constraint(region: Region, axis: int, resolved) -> tuple:

@@ -409,10 +409,6 @@ class WorkFunction:
         attained at an anchor."""
         return Fraction(int(self.lines.min()), self.scale)
 
-    def dominates(self, t: ProductPoint, s: ProductPoint) -> bool:
-        """True when W(s) = W(t) + d(t, s)."""
-        return self.evaluate(s) == self.evaluate(t) + self.instance.distance(t, s)
-
     # -- update ------------------------------------------------------------
 
     def update(self, r: RequestPoint) -> "WorkFunction":

@@ -1,4 +1,5 @@
-"""Shared randomized-instance factories for the test suite."""
+"""Shared randomized-instance factories and the work-value oracle for the
+test suite."""
 
 import random
 from fractions import Fraction
@@ -8,6 +9,14 @@ import numpy as np
 from wfalab import (Instance, ProductPoint, RealLine, RealPoint, RequestPoint,
                     Scaled, idx, pt, request)
 from wfalab.harness import uniform_metric
+from wfalab.offline import _sweep
+
+
+def brute_force_work_value(instance: Instance, i: int, s: ProductPoint) -> Fraction:
+    """W after the first i requests at s: the cheapest path origin -> serve
+    r_1 .. r_i -> s over grid serve points, from the path oracle's sweep."""
+    d = instance.distance
+    return min(c + d(q, s) for q, c in _sweep(instance, i).items())
 
 
 def quarter(rng: random.Random, bound: int) -> Fraction:

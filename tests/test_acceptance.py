@@ -13,11 +13,11 @@ from pathlib import Path
 
 from wfalab import (AlgorithmConfig, ProductPoint, cli, idx, initial, pt, run)
 from wfalab.harness import GeneratorConfig, example_trace, generate
-from wfalab.offline import (brute_force_opt, brute_force_work_value,
-                            dense_slack_max)
+from wfalab.offline import brute_force_opt, dense_slack_max
 from wfalab.potential import default_constants
 
-from conftest import finite_instance, plane_instance, quarter
+from conftest import (brute_force_work_value, finite_instance, plane_instance,
+                      quarter)
 
 HALF = Fraction(1, 2)
 LAMBDAS = (Fraction(1, 4), HALF, Fraction(3, 4))

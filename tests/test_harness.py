@@ -173,6 +173,50 @@ def test_experiment_parsing_rejects_bad_fields():
         experiment_from_json({**base, "potential": 7})
     with pytest.raises(ConfigError):
         experiment_from_json({})
+    for kind in ("greedy", "retrospective"):
+        with pytest.raises(ConfigError, match=f"^{kind} takes no lambda"):
+            experiment_from_json({**base, "algorithms": [{"kind": kind,
+                                                          "lambda": "1/2"}]})
+
+
+# Batches a load refuses, and the start of the error naming why: an unknown
+# key, an algorithm listed twice, and an audit with nothing verified.
+REFUSED = [
+    ({"verfy": True}, "unknown key 'verfy' in the experiment config"),
+    ({"generator": {"kind": "uniform_random", "n": 3, "rnage": 2}},
+     "unknown key 'rnage' in the generator config"),
+    ({"algorithms": [{"kind": "wfa", "lamda": "1/2"}]},
+     "unknown key 'lamda' in an algorithm entry"),
+    ({"algorithms": ["wfa"], "lambdas": ["1/2", "2/4"]},
+     r"algorithm wfa\[1/2\] is listed twice"),
+    ({"algorithms": ["wfa", {"kind": "wfa", "lambda": "1/2"}], "lambdas": ["1/2"]},
+     r"algorithm wfa\[1/2\] is listed twice"),
+    ({"algorithms": ["greedy", "greedy"]}, "algorithm greedy is listed twice"),
+    ({"audit": True}, "audit needs verify"),
+]
+
+
+@pytest.mark.parametrize("fields,error", REFUSED,
+                         ids=["experiment-key", "generator-key", "algorithm-key",
+                              "lambdas-twice", "wfa-twice", "greedy-twice",
+                              "audit-unverified"])
+def test_refused_batches_fail_at_load(tmp_path, fields, error):
+    """A batch that would load a misspelt field as its default, write one
+    algorithm's trace twice, or audit nothing is refused when it is loaded,
+    naming the cause; `wfalab run` exits 1 and writes nothing."""
+    raw = {"generator": {"kind": "uniform_random", "n": 3},
+           "algorithms": [{"kind": "wfa", "lambda": "1/2"}], "trials": 2,
+           **fields}
+    with pytest.raises(ConfigError, match=f"^{error}"):
+        experiment_from_json(raw)
+    path = tmp_path / "batch.json"
+    path.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        assert cli.main(["run", "--config", str(path), "--out-dir", str(out)]) == 1
+    assert err.getvalue().startswith("config error: ")
+    assert not out.exists()
 
 
 # Each batch field of a JSON type, given a value of another, and the field
@@ -511,7 +555,7 @@ def test_a_trial_shares_its_work_functions_and_its_oracle(tmp_path, monkeypatch)
     monkeypatch.setattr(harness, "brute_force_opt",
                         lambda inst: counts.update(["oracle"]) or oracle(inst))
     lam = [{"kind": "wfa", "lambda": v} for v in ("1/4", "1/2", "3/4")]
-    for algorithms in (lam[1:2], lam + ["greedy", "retrospective", lam[1]]):
+    for algorithms in (lam[1:2], lam + ["greedy", "retrospective"]):
         counts.clear()
         cfg = small_experiment(algorithms=algorithms)
         assert run_experiment(cfg, out_dir=tmp_path / str(len(algorithms))) == 0

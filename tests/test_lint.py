@@ -133,14 +133,11 @@ def test_potential_reads_no_grid_layout():
     assert not found, found
 
 
-# Modules and public names that only the tests reach, each for a reason.
+# Modules that only the tests reach, each for a reason.
 TEST_ONLY = {
     # The extended cost's exact oracle.  It stays in the package while
     # bench/spans.py wraps its names, so that the traced benchmark runs.
     "pl1d",
-    # The tests' oracle for W at any configuration; brute_force_opt, built
-    # on the same sweep, is the one the harness runs.
-    "offline.brute_force_work_value",
 }
 
 
@@ -158,16 +155,33 @@ def _used_names(path: Path) -> set:
     return names
 
 
+def _public_defs(body) -> list:
+    """The public functions and classes among a module's or class's
+    statements."""
+    return [node for node in body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")]
+
+
 def test_every_public_function_has_a_caller():
     """Each public module-level function or class of the package is named by
-    code in src/ or bench/, or exported by wfalab.__all__.  One that only
-    the tests reach is a test oracle: it belongs with the tests."""
-    used = set(wfalab.__all__)
+    code in src/ or bench/, or exported by wfalab.__all__, and each public
+    method of a public class is named by code in src/ or bench/.  One that
+    only the tests reach is a test oracle: it belongs with the tests."""
+    named = set()
     for path in sorted(SRC.glob("*.py")) + sorted((ROOT / "bench").glob("*.py")):
-        used |= _used_names(path)
-    found = [f"{path.stem}.{node.name}"
-             for path in sorted(SRC.glob("*.py")) if path.stem not in TEST_ONLY
-             for node in ast.parse(path.read_text()).body
-             if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-             and not node.name.startswith("_") and node.name not in used]
-    assert not set(found) - TEST_ONLY, found
+        named |= _used_names(path)
+    exported = named | set(wfalab.__all__)
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem in TEST_ONLY:
+            continue
+        for node in _public_defs(ast.parse(path.read_text()).body):
+            if node.name not in exported:
+                found.append(f"{path.stem}.{node.name}")
+            if isinstance(node, ast.ClassDef):
+                found += [f"{path.stem}.{node.name}.{method.name}"
+                          for method in _public_defs(node.body)
+                          if isinstance(method, ast.FunctionDef)
+                          and method.name not in named]
+    assert not found, found

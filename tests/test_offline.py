@@ -10,12 +10,12 @@ import pytest
 from wfalab import ConfigError, ProductPoint, SizeGuardError, initial, pt
 from wfalab.metric import IndexPoint, RealPoint
 from wfalab.offline import (MAX_ORACLE_REQUESTS, brute_force_opt,
-                            brute_force_work_value, dense_slack_max)
+                            dense_slack_max)
 from wfalab.problem import grid_after, grid_points_on
 from wfalab.workfn import _param_value
 
-from conftest import (finite_instance, mixed_instance, plane_instance, quarter,
-                      weighted_instance, wide_instance)
+from conftest import (brute_force_work_value, finite_instance, mixed_instance,
+                      plane_instance, quarter, weighted_instance, wide_instance)
 
 MAX_ENUMERATION_REQUESTS = 4
 

@@ -24,7 +24,7 @@ from wfalab.potential import (Boks, CnnPotential, GeneralPotential, Spheres,
                               _min_g_frame, config_from_json,
                               config_to_json, default_constants, f_value,
                               g_value, h_value, min_f, min_g, min_h, phi,
-                              region_membership, region_slack, verify_step)
+                              region_slack, verify_step)
 from wfalab.problem import grid_points_on, serves
 from wfalab.workfn import WorkFunction, _AxisKit
 
@@ -111,6 +111,36 @@ def test_config_json_round_trip():
         config_from_json({"variant": "cnn", "lambda": "1/2"})
     with pytest.raises(ConfigError):
         config_from_json({"variant": "banana"})
+
+
+def region_membership(region, t: ProductPoint, instance=None) -> bool:
+    """Whether t lies in the region, by the regions' definitions alone: an
+    independent restatement of the footprints the kernel's _axis_constraint
+    computes.  A ball on a finite axis needs the instance's distance table."""
+    if isinstance(region, Boks):
+        return (_in_interval(region.s1.x, region.s2.x, t.x)
+                and _in_interval(region.s1.y, region.s2.y, t.y))
+    return (_in_ball(region.s1.x, region.s2.x, t.x, region.eta, instance, 0)
+            and _in_ball(region.s1.y, region.s2.y, t.y, region.eta, instance, 1))
+
+
+def _in_interval(a, b, t) -> bool:
+    if not (isinstance(a, RealPoint) and isinstance(b, RealPoint)):
+        raise RegionSpaceError("box regions are only defined over line components")
+    return (isinstance(t, RealPoint)
+            and min(a.value, b.value) <= t.value <= max(a.value, b.value))
+
+
+def _in_ball(center, other, t, eta, instance, axis) -> bool:
+    if isinstance(center, RealPoint) and isinstance(other, RealPoint):
+        return (isinstance(t, RealPoint)
+                and abs(t.value - center.value) <= eta * abs(center.value - other.value))
+    if instance is None:
+        raise RegionSpaceError("ball membership on a finite component needs the instance")
+    table = instance._axes[axis].matrix
+    if table is None or not isinstance(t, IndexPoint):
+        raise RegionSpaceError("point kind does not match the component space")
+    return table[center.index][t.index] <= eta * table[center.index][other.index]
 
 
 def test_box_membership():

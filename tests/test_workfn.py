@@ -15,14 +15,14 @@ from wfalab import (ConfigError, EmptySetError, Instance, ProductPoint,
                     instance_scale, max_difference, pointwise_min, pt, request,
                     serves)
 from wfalab.metric import FiniteMatrix, IndexPoint, product_key
-from wfalab.offline import (brute_force_opt, brute_force_work_value,
-                            dense_slack_max)
+from wfalab.offline import brute_force_opt, dense_slack_max
 from wfalab.problem import grid_after, grid_points_on
 from wfalab.workfn import _AxisKit, _int_dtype
 
-from conftest import (far_instance, finite_instance, grid_values,
-                      huge_instance, mixed_instance, plane_instance, quarter,
-                      weighted_instance, wide_instance)
+from conftest import (brute_force_work_value, far_instance, finite_instance,
+                      grid_values, huge_instance, mixed_instance,
+                      plane_instance, quarter, weighted_instance,
+                      wide_instance)
 
 HALF = Fraction(1, 2)
 
@@ -273,6 +273,11 @@ def test_slack_is_stable_under_set_perturbation():
         assert gap <= (1 + HALF) * delta
 
 
+def dominates(wf, t, s) -> bool:
+    """True when W(s) = W(t) + d(t, s): t dominates s."""
+    return wf.evaluate(s) == wf.evaluate(t) + wf.instance.distance(t, s)
+
+
 def test_slack_transfer_bounds():
     rng = random.Random(25)
     for trial in range(10):
@@ -284,7 +289,7 @@ def test_slack_transfer_bounds():
         assert wf.slack(t, c, HALF) >= wf.slack(s, c, HALF) - (1 + HALF) * d
         dominator = min(wf.anchor_points,
                         key=lambda a: wf.evaluate(a) + wf.instance.distance(a, s))
-        assert wf.dominates(dominator, s)
+        assert dominates(wf, dominator, s)
         gain = (1 - HALF) * wf.instance.distance(dominator, s)
         assert wf.slack(dominator, c, HALF) >= wf.slack(s, c, HALF) + gain
 
