@@ -307,9 +307,8 @@ def run_all(instance: Instance, configs, verify: bool = False, potential="cnn",
             # Each lane alone would meet this error here, before its own.
             drop(0, _at_step(j, exc))
             break
-        verified = {lane.acct_lam: nablas[lane.acct_lam]
-                    for lane in lanes if lane.pcfg is not None}
-        shared = _potential.SharedStep(wf, wf_next, verified)
+        shared = _potential.SharedStep(
+            wf, wf_next, [lane.pcfg for lane in lanes if lane.pcfg is not None], nablas)
         for k, lane in enumerate(lanes):
             try:
                 lane.step(shared, nablas[lane.acct_lam], audit)

@@ -14,32 +14,38 @@ the mathematics disagree somewhere.
 
 The minima of F, G and H, and the values the domination checks read, come
 from one integer kernel on the work function's own scale, kits and anchors:
-a _Frame, one config's F, G and H tables over a _Base, which holds what no
-config changes (the candidates' positions, W at them, their distances).
-Candidates are integer positions (_candidates; the audit's refined set adds
-the line midpoints at twice the scale), and a verified step builds points
+a _Frame, the F, G and H tables of a stack of configs of one class over a
+_Base, which holds what no config changes (the candidates' positions, W at
+them, their distances).  The stack is the frame's leading axis: each
+config's constants are a column over it, and each kernel returns every
+config's own minimum and first witness from the same passes.  Candidates are
+integer positions (_candidates; the audit's refined set adds the line
+midpoints at twice the scale), and a verified step builds points
 (WorkFunction._points) only for witnesses and reported values; no kernel
 here reads the layout of the work function's lines.  A frame evaluates F and
-G at broadcast index arrays of triples, with the anchors on a trailing
-axis.  The minima take rows (the first slot fixed) in blocks of a fixed
-number of entries, so a large frame never holds a cubic table.  Each live
-work function has one _Memo, in a weak-keyed map so that it dies with the
-work function: its candidates' base, and per config its frame and minima,
-each built on first use.  The configs verified on a step share the base,
-and the minima after a step serve as those before the next.
+G at broadcast index arrays of (config, triple), with the anchors on a
+trailing axis.  The minima take rows (the first slot fixed) of some configs
+in blocks of a fixed number of entries, so a large frame never holds a
+cubic table.  Each live work function has one _Memo, in a weak-keyed map so
+that it dies with the work function: its candidates' base, a frame per
+stack, and per (config, kernel) the minimum, each built on first use.  The
+minima after a step serve as those before the next.
 f_value, g_value, h_value and region_slack compute the same quantities in
 Fraction.  They are the public API and the exact oracle the tests hold the
 kernel to, and the audit's dense sweeps call them so that its check on the
 kernel's minima does not run through it.
 
-The Lipschitz probe moves request i and needs W after the first i requests
-of the perturbed instance.  W after a sequence depends on that sequence
-alone, so that W is wf_before's, rescaled to the new instance's integer
-scale (WorkFunction.rescaled) rather than replayed from the start.  Nor does
-it depend on the constants: a SharedStep holds the probe's work functions,
-its extended costs at every lambda verified on the step, and the domination
-samples, so configs verified on the same transition share them; only the
-probe's min G, which reads the constants, is each config's own.
+A SharedStep holds what verifying one transition needs for every config
+verified on it, in lane order: the request's moves, the domination samples,
+and the Lipschitz probe's work functions and extended costs.  It stacks the
+configs wherever they read the same candidates, so that a step builds the
+frames of W before and after it, of the probe's W, of the domination checks
+and of the audit once, not once per config; min_f and verify_step without a
+SharedStep use a one-config stack.  The probe moves request i and needs W
+after the first i requests of the perturbed instance.  W after a sequence
+depends on that sequence alone, so that W is wf_before's, rescaled to the
+new instance's integer scale (WorkFunction.rescaled) rather than replayed
+from the start.
 """
 
 from __future__ import annotations
@@ -299,7 +305,14 @@ def config_to_json(cfg: PotentialConfig) -> dict:
 
 
 def config_from_json(raw: dict) -> PotentialConfig:
+    """The config config_to_json wrote; a key other than "variant" and the
+    variant's fields is refused, since the constant it misplaces would be
+    lost."""
     cls = _variant(raw.get("variant", "cnn"))
+    known = {"variant", *(_json_key(f.name) for f in dataclasses.fields(cls))}
+    for key in raw:
+        if key not in known:
+            raise ConfigError(f"unknown key {key!r} in the potential config")
     try:
         return cls(**{f.name: raw[_json_key(f.name)] for f in dataclasses.fields(cls)})
     except KeyError as exc:
@@ -474,15 +487,18 @@ def _candidates(wf: WorkFunction, m: int = 1) -> np.ndarray:
     return np.stack([x, y], axis=1)
 
 
-def _kernel_dtype(w_max: int, reach: int, cfg: PotentialConfig):
-    """int64 when every F, G and H kernel entry has headroom, else object:
-    each entry is within 16 (w_max + reach) times the product of
-    numerator + denominator over the pair and triple parameters, the
-    coefficient and, for balls, eta."""
-    bound = 16 * (w_max + reach)
-    for c in (cfg.pair_param, cfg.triple_param, cfg.coeff,
-              getattr(cfg, "eta", Fraction(0))):
-        bound *= c.numerator + c.denominator
+def _kernel_dtype(w_max: int, reach: int, cfgs) -> type:
+    """int64 when every F, G and H kernel entry of every config has
+    headroom, else object: each entry of a config is within 16 (w_max +
+    reach) times the product of numerator + denominator over its pair and
+    triple parameters, its coefficient and, for balls, its eta."""
+    bound = 0
+    for cfg in cfgs:
+        b = 16 * (w_max + reach)
+        for c in (cfg.pair_param, cfg.triple_param, cfg.coeff,
+                  getattr(cfg, "eta", Fraction(0))):
+            b *= c.numerator + c.denominator
+        bound = max(bound, b)
     return _int_dtype(bound)
 
 
@@ -519,68 +535,88 @@ class _Base:
 
 
 class _Frame:
-    """F, G and H over triples of a base's candidates, on its scale.  Row i
-    holds F or G at (i, j, m) for every j and m, over the fixed denominators
-    f_den and g_den; H is one table over h_den.  The tables are int64 when
-    _kernel_dtype finds headroom for cfg, else Python ints."""
+    """F, G and H over triples of a base's candidates, on its scale, for a
+    stack of configs of one class (cfgs).  Each config's constants are a
+    column over the stack, its leading axis.  Config c's row i holds F or G
+    at (i, j, m) for every j and m, over its fixed denominators f_den[c] and
+    g_den[c]; its H is one table over h_den[c].  The tables are int64 when
+    _kernel_dtype finds headroom for every config, else Python ints."""
 
-    def __init__(self, base: _Base, cfg: PotentialConfig):
-        self.P = base.P
-        dtype = _kernel_dtype(base.w_max, base.reach, cfg)
+    def __init__(self, base: _Base, cfgs):
+        self.P, self.cfgs = base.P, tuple(cfgs)
+        if len({type(cfg) for cfg in self.cfgs}) != 1:
+            raise ConfigError("a frame stacks configs of one class")
+        dtype = _kernel_dtype(base.w_max, base.reach, self.cfgs)
         self.axes = []
         for kit, C, G in base.axes:
             fine, G = kit.refine(1, dtype, G)
             self.axes.append((fine, C if kit.kind == "finite" else C.astype(dtype), G))
         self.GW, self.W, D = (a.astype(dtype, copy=False)
                               for a in (base.GW, base.W, base.D))
-        self.pn, self.pd = cfg.pair_param.numerator, cfg.pair_param.denominator
-        self.ln, self.ld = cfg.triple_param.numerator, cfg.triple_param.denominator
-        self.cn, self.cd = cfg.coeff.numerator, cfg.coeff.denominator
-        self.boks = isinstance(cfg, CnnPotential)
-        self.en, self.ed = (0, 1) if self.boks else (cfg.eta.numerator,
-                                                     cfg.eta.denominator)
-        # HT[i, j]: H(i, j).  SLT[i, m]: slack of m against i alone.
-        self.HT = (self.W[:, None] + self.W[None, :]) * self.pd - self.pn * D
-        self.SLT = (self.W[:, None] - self.W[None, :]) * self.ld + self.ln * D
-        self.h_den = 2 * base.scale * self.pd
-        self.f_den = self.h_den * self.ld * self.cd
-        self.g_den = self.f_den * self.ed
 
-    def f_row(self, rows) -> np.ndarray:
-        """F(i, j, m) for every j and m, with a leading axis when rows is an
-        index array; likewise g_row.  F's rows read SLT whole, as a view."""
+        def column(name: str) -> tuple:
+            """The numerators and the denominators of a constant over the
+            stack (a box's eta is 0)."""
+            values = [getattr(cfg, name, Fraction(0)) for cfg in self.cfgs]
+            return (np.array([v.numerator for v in values], dtype=dtype),
+                    np.array([v.denominator for v in values], dtype=dtype))
+
+        pn, pd = column("pair_param")
+        self.ln, self.ld = column("triple_param")
+        cn, cd = column("coeff")
+        self.en, self.ed = column("eta")
+        self.boks = isinstance(self.cfgs[0], CnnPotential)
+        # F = H * fa - fb * slack; G likewise, over ld * ed in place of ld.
+        self.fa, self.fb, self.q = self.ld * cd, cn * 2 * pd, self.ld * self.ed
+        self.gq = self.q * cd
+        # HT[c, i, j]: H(i, j).  SLT[c, i, m]: slack of m against i alone.
+        self.HT = ((self.W[:, None] + self.W[None, :]) * pd[:, None, None]
+                   - pn[:, None, None] * D)
+        self.SLT = ((self.W[:, None] - self.W[None, :]) * self.ld[:, None, None]
+                    + self.ln[:, None, None] * D)
+        self.h_den = [2 * base.scale * p for p in pd.tolist()]
+        self.f_den = [h * a for h, a in zip(self.h_den, self.fa.tolist())]
+        self.g_den = [f * e for f, e in zip(self.f_den, self.ed.tolist())]
+
+    def f_row(self, cs: slice, rows) -> np.ndarray:
+        """F(i, j, m) of the configs cs at the rows i, an index array, and
+        every j and m, as a (configs, rows, k, k) table; likewise g_row.  F's
+        rows read each config's SLT whole, as a view."""
+        c = np.arange(len(self.cfgs))[cs, None, None, None]
         i = np.asarray(rows)
-        return self._f(self.HT[i][..., :, None], self.SLT[i][..., None, :], self.SLT)
+        HT, SLT = self.HT[cs], self.SLT[cs]
+        return self._f(c, HT[:, i, :, None], SLT[:, i, None, :], SLT[:, None])
 
-    def g_row(self, rows) -> np.ndarray:
+    def g_row(self, cs: slice, rows) -> np.ndarray:
+        c = np.arange(len(self.cfgs))[cs, None, None, None]
         every = np.arange(len(self.P))
-        return self.g_at(np.asarray(rows)[..., None, None], every[:, None], every)
+        return self.g_at(c, np.asarray(rows)[:, None, None], every[:, None], every)
 
-    def f_at(self, i, j, m) -> np.ndarray:
-        """F at the candidate triples (i, j, m), broadcast index arrays."""
-        return self._f(self.HT[i, j], self.SLT[i, m], self.SLT[j, m])
+    def f_at(self, c, i, j, m) -> np.ndarray:
+        """F of config c at the candidate triple (i, j, m), all four
+        broadcast index arrays."""
+        return self._f(c, self.HT[c, i, j], self.SLT[c, i, m], self.SLT[c, j, m])
 
-    def _f(self, h, slack_i, slack_j) -> np.ndarray:
-        return (h * (self.ld * self.cd)
-                - (self.cn * 2 * self.pd) * np.minimum(slack_i, slack_j))
+    def _f(self, c, h, slack_i, slack_j) -> np.ndarray:
+        return h * self.fa[c] - self.fb[c] * np.minimum(slack_i, slack_j)
 
-    def g_at(self, i, j, m) -> np.ndarray:
-        """G at the candidate triples (i, j, m), broadcast index arrays."""
-        q = self.ld * self.ed
-        cost = self._region_cost(i, j, m, *self.axes[0])
-        cost += self._region_cost(i, j, m, *self.axes[1])
-        cost += self.GW * q
+    def g_at(self, c, i, j, m) -> np.ndarray:
+        """G of config c at the candidate triple (i, j, m), all four
+        broadcast index arrays."""
+        q = self.q[c]
+        cost = self._region_cost(c, i, j, m, *self.axes[0])
+        cost += self._region_cost(c, i, j, m, *self.axes[1])
+        cost += self.GW * self.q[c, None]
         slack = cost.min(axis=-1) - self.W[m] * q
-        return (self.HT[i, j] * (q * self.cd)
-                - (self.cn * 2 * self.pd) * slack)
+        return self.HT[c, i, j] * self.gq[c] - self.fb[c] * slack
 
-    def _region_cost(self, i, j, m, kit: _AxisKit, C: np.ndarray,
+    def _region_cost(self, c, i, j, m, kit: _AxisKit, C: np.ndarray,
                      G: np.ndarray) -> np.ndarray:
-        """Entry [..., a]: the minimum over t in the footprint of region(i, j)
-        on this axis of d(anchor a, t) + lambda*d(t, m), at ld * ed times
-        the frame's scale; the anchors are the trailing axis."""
-        ln, ld, en, ed = self.ln, self.ld, self.en, self.ed
+        """Entry [..., a]: the minimum over t in the footprint of config c's
+        region(i, j) on this axis of d(anchor a, t) + lambda*d(t, m), at
+        ld * ed times the frame's scale; the anchors are the trailing axis."""
         if kit.kind == "line":
+            ln, ld, en, ed = (a[c, None] for a in (self.ln, self.ld, self.en, self.ed))
             # ln / ld is lambda < 1, so moving t away from the anchor never
             # lowers the cost: the minimum sits at the anchor clamped into
             # the footprint.
@@ -600,59 +636,77 @@ class _Frame:
             raise RegionSpaceError("box regions are only defined over line components")
         # A ball's footprint is a prefix of the space by distance from its
         # center (kit.near), so running minima along those orders, one per
-        # center these triples use, give every footprint.
+        # config and center these triples use, give every footprint.
+        used = sorted(set(np.ravel(c).tolist()))
         centers = sorted(set(np.ravel(C[i]).tolist()))
+        ln, ld, ed = (a[used][:, None, None, None] for a in (self.ln, self.ld, self.ed))
         T = (ld * kit.D[G].T[:, None, :] + ln * kit.D[:, C][:, :, None]) * ed
-        runs = np.minimum.accumulate(T[kit.near[centers]], axis=1)
+        runs = np.minimum.accumulate(T[:, kit.near[centers]], axis=2)
         slot = np.zeros(len(kit.D), dtype=np.int64)
         slot[centers] = np.arange(len(centers))
+        cslot = np.zeros(len(self.cfgs), dtype=np.int64)
+        cslot[used] = np.arange(len(used))
         rows = kit.D[C]
+        en, ed = self.en[c, None], self.ed[c, None]
         count = (rows[i] * ed <= en * rows[i, C[j]][..., None]).sum(axis=-1)
-        return runs[slot[C[i]], count - 1, m]
+        return runs[cslot[c], slot[C[i]], count - 1, m]
 
 
-# Entries (rows x candidates x anchors x candidates) in one block of G rows;
-# F rows go in blocks of the same number of rows.  A small frame takes one
-# pass; a frame whose single row exceeds this goes one row at a time.  At
-# 2**14 (128 KB of int64) min G over a 13-candidate plane frame is one numpy
-# pass instead of four, which is where small frames spend their time.
+# Entries (configs x rows x candidates x anchors x candidates) in one block
+# of G rows; F rows go in blocks of the same shape.  A small frame takes one
+# pass; a frame whose single row of one config exceeds this goes one config
+# and one row at a time.  At 2**14 (128 KB of int64) min G over a
+# 13-candidate plane frame is one numpy pass instead of four, which is where
+# small frames spend their time.
 _BLOCK_ENTRIES = 2 ** 14
 
 
-def _first_min(fr: _Frame, row, den: int) -> tuple:
-    """Minimum over the frame's rows and its first minimizing triple (as
-    candidate indices): the first row, then the row-major first (j, m)."""
-    k = len(fr.P)
-    step = max(1, _BLOCK_ENTRIES // (k * len(fr.GW) * k))
-    best = None
-    for start in range(0, k, step):
-        R = row(np.arange(start, min(start + step, k)))
-        flat = int(np.argmin(R))
-        if best is None or R.flat[flat] < best[0]:
-            best = (R.flat[flat], start * k * k + flat)
-    v, flat = best
-    i, rest = divmod(flat, k * k)
-    return Fraction(int(v), den), (i, *divmod(rest, k))
+def _first_min(fr: _Frame, row, dens: list) -> list:
+    """Per config of the frame, its minimum over the frame's rows (over its
+    den) and its first minimizing triple (as candidate indices): the first
+    row, then the row-major first (j, m)."""
+    n, k = len(fr.cfgs), len(fr.P)
+    per_row = k * len(fr.GW) * k
+    cstep = max(1, min(n, _BLOCK_ENTRIES // per_row))
+    rstep = max(1, _BLOCK_ENTRIES // (cstep * per_row))
+    out = []
+    for c0 in range(0, n, cstep):
+        cs = slice(c0, min(c0 + cstep, n))
+        best = [None] * (cs.stop - c0)
+        for start in range(0, k, rstep):
+            R = row(cs, np.arange(start, min(start + rstep, k))).reshape(len(best), -1)
+            flat = R.argmin(axis=1)
+            for b, (f, v) in enumerate(zip(flat.tolist(),
+                                           R[np.arange(len(best)), flat].tolist())):
+                if best[b] is None or v < best[b][0]:
+                    best[b] = (v, start * k * k + f)
+        for (v, flat), den in zip(best, dens[cs]):
+            i, rest = divmod(flat, k * k)
+            out.append((Fraction(v, den), (i, *divmod(rest, k))))
+    return out
 
 
-def _min_f_frame(fr: _Frame) -> tuple:
+def _min_f_frame(fr: _Frame) -> list:
     return _first_min(fr, fr.f_row, fr.f_den)
 
 
-def _min_g_frame(fr: _Frame) -> tuple:
+def _min_g_frame(fr: _Frame) -> list:
     return _first_min(fr, fr.g_row, fr.g_den)
 
 
-def _min_h_frame(fr: _Frame) -> tuple:
-    flat = int(np.argmin(fr.HT))
-    i, j = divmod(flat, len(fr.P))
-    return Fraction(int(fr.HT[i, j]), fr.h_den), (i, j)
+def _min_h_frame(fr: _Frame) -> list:
+    k = len(fr.P)
+    HT = fr.HT.reshape(len(fr.cfgs), -1)
+    flat = HT.argmin(axis=1)
+    return [(Fraction(v, den), divmod(f, k)) for f, v, den in
+            zip(flat.tolist(), HT[np.arange(len(flat)), flat].tolist(), fr.h_den)]
 
 
 class _Memo:
-    """A work function's candidates' base, and per config its frame and its
-    minima, each built on first use.  It holds no reference to the work
-    function, so its entry in _memos dies with it."""
+    """A work function's candidates' base, the frame of each config (one per
+    stack), and per (config, kernel) its minimum, each built on first use.
+    It holds no reference to the work function, so its entry in _memos dies
+    with it."""
 
     def __init__(self, wf: WorkFunction):
         self.base = _Base(wf, 1, _candidates(wf))
@@ -662,20 +716,24 @@ class _Memo:
 _memos = weakref.WeakKeyDictionary()
 
 
-def _frame(wf: WorkFunction, cfg: PotentialConfig) -> tuple:
-    """(wf's memo, its frame for cfg)."""
+def _memo(wf: WorkFunction, stack) -> _Memo:
+    """wf's memo, with a frame for each config of stack (configs of one
+    class, each once): one new frame stacks those it has none for."""
     memo = _memos.get(wf) or _memos.setdefault(wf, _Memo(wf))
-    if cfg not in memo.frames:
-        memo.frames[cfg] = _Frame(memo.base, cfg)
-    return memo, memo.frames[cfg]
+    new = [cfg for cfg in stack if cfg not in memo.frames]
+    if new:
+        memo.frames.update(dict.fromkeys(new, _Frame(memo.base, new)))
+    return memo
 
 
 def _minimum(wf: WorkFunction, cfg: PotentialConfig, kernel) -> tuple:
-    """(value, witness points, witness rows) of one kernel on wf's frame."""
-    memo, fr = _frame(wf, cfg)
+    """(value, witness points, witness rows) of one kernel on wf's frame of
+    cfg; the kernel's first run there takes every stacked config's."""
+    memo = _memo(wf, (cfg,))
     if (cfg, kernel) not in memo.minima:
-        v, rows = kernel(fr)
-        memo.minima[cfg, kernel] = v, wf._points(*fr.P[list(rows)].T), rows
+        fr = memo.frames[cfg]
+        for c, (v, rows) in zip(fr.cfgs, kernel(fr)):
+            memo.minima[c, kernel] = v, wf._points(*fr.P[list(rows)].T), rows
     return memo.minima[cfg, kernel]
 
 
@@ -791,16 +849,35 @@ def _domination_samples(wf: WorkFunction) -> tuple:
     return (s[:, :2], t, np.where(vert, kx.dist(rx, X), ky.dist(ry, Y))), two_candidate
 
 
-def _dominate_checks(wf: WorkFunction, cfg: PotentialConfig,
-                     context: np.ndarray, samples: tuple) -> list:
+def _domination_tables(wf: WorkFunction, stack: tuple, samples: tuple) -> tuple:
+    """(frame, F, G): F and G at every triple the domination checks of the
+    configs of stack read, as nested lists [config][slot][x] over the
+    frame's f_den and g_den.  One base holds every config's context triple,
+    the rows of its min F witness on wf (points 3c to 3c + 2 for config c),
+    then the samples' s and t (points 3 * len(stack) on).  Each letter puts
+    them in one slot of the triple in F or G, so F and G at those triples
+    hold every value the letters read: [c][slot][x] is config c's context
+    with point x in that slot."""
+    s, t, _ = samples
+    P = _memo(wf, stack).base.P
+    pts = np.concatenate([P[list(_minimum(wf, cfg, _min_f_frame)[2])] for cfg in stack]
+                         + [np.stack([s, t], axis=1).reshape(-1, 2)])
+    fr = _Frame(_Base(wf, 1, pts), stack)
+    c = np.arange(len(stack))[:, None, None]
+    x = np.arange(3 * len(stack), len(pts))
+    triples = [np.where(np.arange(3)[:, None] == n, x, 3 * c + n) for n in range(3)]
+    return fr, fr.f_at(c, *triples).tolist(), fr.g_at(c, *triples).tolist()
+
+
+def _dominate_checks(shared: "SharedStep", cfg: PotentialConfig) -> list:
     """Sampled replace-a-dominated-point bounds, slots (a) through (f).
 
-    samples are _domination_samples(wf): grid points off the request paired
-    with their dominating candidate on it; the context triple fills the
-    untouched slots.  Points are positions at wf.scale.
+    The samples are _domination_samples(wf_after): grid points off the
+    request paired with their dominating candidate on it; cfg's context
+    triple fills the untouched slots (_domination_tables).
     """
     bounds = cfg.dominate_bounds()
-    (s, t, d), two_candidate = samples
+    (_, _, d), two_candidate = shared.samples
     out = [CheckResult(
         "dominated_by_request_candidate", two_candidate,
         note="every sampled point must be dominated by one of its two "
@@ -809,21 +886,14 @@ def _dominate_checks(wf: WorkFunction, cfg: PotentialConfig,
         return out + [CheckResult(f"dominate_{letter}", True,
                                   note="no dominated pairs to sample")
                       for letter in "abcdef"]
-    # One frame over the context triple (points 0, 1, 2) and the samples'
-    # s and t (3, 4, ...).  Each letter puts them in one slot of the triple
-    # in F or G, so F and G at those triples hold every value the letters
-    # read: [slot, x] is the context with x in that slot.
-    pts = np.concatenate([context, np.stack([s, t], axis=1).reshape(-1, 2)])
-    fr = _Frame(_Base(wf, 1, pts), cfg)
-    x = np.arange(3, len(pts))
-    triples = [np.where(np.arange(3)[:, None] == n, x, n) for n in range(3)]
-    tables = (fr.f_at(*triples), fr.g_at(*triples))
-    dens = (fr.f_den, fr.g_den)
+    fr, F, G = shared.domination
+    c = fr.cfgs.index(cfg)
+    tables, dens = (F[c], G[c]), (fr.f_den[c], fr.g_den[c])
     letters = {"a": (0, 2), "b": (0, 1), "c": (0, 0),
                "d": (1, 2), "e": (1, 1), "f": (1, 0)}
-    scale, ds = wf.scale, d.tolist()
+    scale, ds = shared.wf_after.scale, d.tolist()
     for letter, (table, slot) in letters.items():
-        vals, den, bound = tables[table][slot].tolist(), dens[table], bounds[letter]
+        vals, den, bound = tables[table][slot], dens[table], bounds[letter]
         # lhs - rhs = (vs - vt) / den - d / scale * bound, over den * scale
         # * bound.denominator; the first smallest margin is the worst entry.
         margins = [(vs - vt) * scale * bound.denominator - dd * bound.numerator * den
@@ -864,16 +934,20 @@ def _domination_candidates_check(wf_before: WorkFunction, wf_after: WorkFunction
 
 class SharedStep:
     """What serving and verifying the transition from wf_before to wf_after
-    needs that no algorithm or config changes, for configs at the lambdas of
-    nablas (which maps each to the step's extended cost): how far the
-    request moved, the domination samples of wf_after, and the Lipschitz
-    probe's perturbed work functions with their extended costs (one
-    WorkFunction.extended_costs pass for every lambda).  Each part is
-    computed on first use, so a config meets an error there where it would
-    verifying alone."""
+    needs for the configs verified on it (configs, of one class, in lane
+    order), at the lambdas of nablas (which maps each to the step's extended
+    cost): how far the request moved, the domination samples of wf_after,
+    the Lipschitz probe's perturbed work functions with their extended costs
+    (one WorkFunction.extended_costs pass for every lambda), and the frames
+    every config reads, each one stack of all the configs: the domination
+    checks' values and the audit's minima.  Each part is computed on first
+    use, so a config meets an error there where it would verifying alone;
+    a config reads only its own slot of the stacked results."""
 
-    def __init__(self, wf_before: WorkFunction, wf_after: WorkFunction, nablas: dict):
+    def __init__(self, wf_before: WorkFunction, wf_after: WorkFunction, configs,
+                 nablas: dict):
         self.wf_before, self.wf_after = wf_before, wf_after
+        self.configs = tuple(dict.fromkeys(configs))
         self.nablas = nablas
 
     @cached_property
@@ -923,8 +997,16 @@ class SharedStep:
     @cached_property
     def probe_nablas(self) -> dict:
         _, r_mod, wf2, _ = self.probe
-        return {lam: v for lam, (v, _) in
-                zip(self.nablas, wf2.extended_costs(r_mod, list(self.nablas)))}
+        lams = list(dict.fromkeys(cfg.triple_param for cfg in self.configs))
+        return {lam: v for lam, (v, _) in zip(lams, wf2.extended_costs(r_mod, lams))}
+
+    @cached_property
+    def domination(self) -> tuple:
+        return _domination_tables(self.wf_after, self.configs, self.samples[0])
+
+    @cached_property
+    def audit_minima(self) -> dict:
+        return _audit_minima(self.wf_after, self.configs)
 
 
 def _lipschitz_probe(shared: SharedStep, cfg: PotentialConfig, nabla: Fraction,
@@ -937,6 +1019,7 @@ def _lipschitz_probe(shared: SharedStep, cfg: PotentialConfig, nabla: Fraction,
     d_eps, _, _, wf2_after = shared.probe
     lam = cfg.triple_param
     nabla2 = shared.probe_nablas[lam]
+    _memo(wf2_after, shared.configs)
     mg2 = min_g(wf2_after, cfg)[0]
     shift_n = abs(nabla2 - nabla)
     bound_n = (1 + lam) * d_eps
@@ -973,7 +1056,29 @@ def _dense_line_points(wf: WorkFunction, around: ProductPoint) -> list:
     return out
 
 
-def _audit(wf_after: WorkFunction, cfg: PotentialConfig, mf: Fraction,
+def _audit_minima(wf: WorkFunction, stack: tuple) -> dict:
+    """config -> (min F, min G over the refined candidates, min F over the
+    full grid, min G over it or None past 40 grid points) for each config
+    of stack, one frame for all of them per candidate set."""
+    if all(kit.kind == "finite" for kit in wf.kits):
+        # With no line axis _candidates(wf, 2) is _candidates(wf), and the
+        # refined frame is the memo's with every entry doubled: its minima
+        # are the memo's.
+        _memo(wf, stack)
+        mid = [[_minimum(wf, cfg, kernel)[0] for cfg in stack]
+               for kernel in (_min_f_frame, _min_g_frame)]
+    else:
+        fr = _Frame(_Base(wf, 2, _candidates(wf, 2)), stack)
+        mid = [[v for v, _ in kernel(fr)] for kernel in (_min_f_frame, _min_g_frame)]
+    # Row-major over the sorted grid is product_key order.
+    full = np.stack([np.repeat(wf.gx, len(wf.gy)), np.tile(wf.gy, len(wf.gx))], axis=1)
+    fr = _Frame(_Base(wf, 1, full), stack)
+    full_g = ([v for v, _ in _min_g_frame(fr)] if len(full) <= 40
+              else [None] * len(stack))
+    return dict(zip(stack, zip(*mid, [v for v, _ in _min_f_frame(fr)], full_g)))
+
+
+def _audit(shared: SharedStep, cfg: PotentialConfig, mf: Fraction,
            tf: tuple, mg: Fraction, tg: tuple) -> CheckResult:
     """Refine the candidate set and assert the base minima survive.
 
@@ -981,23 +1086,15 @@ def _audit(wf_after: WorkFunction, cfg: PotentialConfig, mf: Fraction,
     for F (and for G on small grids); dense step-1/16 sweeps vary one triple
     slot at a time around each winner.  Any strict improvement raises.
     """
-    fr = _Frame(_Base(wf_after, 2, _candidates(wf_after, 2)), cfg)
-    for label, kernel, best in (("F", _min_f_frame, mf), ("G", _min_g_frame, mg)):
-        v = kernel(fr)[0]
+    wf_after = shared.wf_after
+    mid_f, mid_g, full_f, full_g = shared.audit_minima[cfg]
+    for label, v, best in (("F", mid_f, mf), ("G", mid_g, mg)):
         if v != best:
             raise AuditError(f"midpoint refinement improved min {label}: {v} < {best}")
-
-    # Row-major over the sorted grid is product_key order.
-    gx, gy = wf_after.gx, wf_after.gy
-    full = np.stack([np.repeat(gx, len(gy)), np.tile(gy, len(gx))], axis=1)
-    fr_full = _Frame(_Base(wf_after, 1, full), cfg)
-    v = _min_f_frame(fr_full)[0]
-    if v < mf:
-        raise AuditError(f"a full-grid triple improves min F: {v} < {mf}")
-    if len(full) <= 40:
-        v = _min_g_frame(fr_full)[0]
-        if v < mg:
-            raise AuditError(f"a full-grid triple improves min G: {v} < {mg}")
+    if full_f < mf:
+        raise AuditError(f"a full-grid triple improves min F: {full_f} < {mf}")
+    if full_g is not None and full_g < mg:
+        raise AuditError(f"a full-grid triple improves min G: {full_g} < {mg}")
 
     for label, triple, base, fun in (("F", tf, mf, f_value),
                                      ("G", tg, mg, g_value)):
@@ -1024,7 +1121,7 @@ def verify_step(wf_before: WorkFunction, wf_after: WorkFunction,
     accounting lambda is the potential's own.  All checks are exact;
     advisory entries (the Lipschitz probe) are recorded but never counted as
     failures.  _shared, when given, is the SharedStep of this transition
-    for a set of lambdas that holds cfg's.
+    for a stack of configs that holds cfg.
     """
     inst = wf_before.instance
     if wf_after.instance != inst or wf_after.i != wf_before.i + 1:
@@ -1032,20 +1129,22 @@ def verify_step(wf_before: WorkFunction, wf_after: WorkFunction,
     r_next = wf_after.last_request
     lam = cfg.triple_param
     shared = _shared or SharedStep(
-        wf_before, wf_after, {lam: wf_before.extended_cost(r_next, lam)[0]})
+        wf_before, wf_after, (cfg,), {lam: wf_before.extended_cost(r_next, lam)[0]})
     dx, dy = shared.moves
     # The larger move first; swapped when that is y's.
     dmax, dmin, swapped = (dy, dx, True) if dx < dy else (dx, dy, False)
     nabla = shared.nablas[lam]
 
     consts = cfg.constants()
+    # One frame per work function for the whole stack; wf_after's holds the
+    # witnesses' positions and H, by row.
+    _memo(wf_before, shared.configs)
+    fr = _memo(wf_after, shared.configs).frames[cfg]
     mf1, mg1 = min_f(wf_before, cfg)[0], min_g(wf_before, cfg)[0]
     mf2, tf2, f_rows = _minimum(wf_after, cfg, _min_f_frame)
     mg2, tg2, g_rows = _minimum(wf_after, cfg, _min_g_frame)
     mh2 = min_h(wf_after, cfg)[0]
     phi1, phi2 = phi(wf_before, cfg), phi(wf_after, cfg)
-    # wf_after's frame holds the witnesses' positions and H, by row.
-    fr = _frame(wf_after, cfg)[1]
     case = "A" if len(set(f_rows)) <= 2 else "B"
 
     checks = []
@@ -1057,7 +1156,7 @@ def verify_step(wf_before: WorkFunction, wf_after: WorkFunction,
         "minimum_in_r", all(serves(p, r_next) for p in (*tf2, *tg2)),
         note="F and G minimizers must serve the new request"))
 
-    checks.extend(_dominate_checks(wf_after, cfg, fr.P[list(f_rows)], shared.samples))
+    checks.extend(_dominate_checks(shared, cfg))
 
     checks.append(CheckResult("chain_f_g_h", mf2 <= mg2 <= mh2, mf2, mh2,
                               min(mg2 - mf2, mh2 - mg2)))
@@ -1097,8 +1196,8 @@ def verify_step(wf_before: WorkFunction, wf_after: WorkFunction,
                                                sorted(set(f_rows + g_rows))))
 
     if (tg2[0].x == tg2[1].x == tg2[2].x) or (tg2[0].y == tg2[1].y == tg2[2].y):
-        g = np.array(g_rows)
-        best_h = Fraction(int(fr.HT[g[:, None], g].min()), fr.h_den)
+        g, c = np.array(g_rows), fr.cfgs.index(cfg)
+        best_h = Fraction(int(fr.HT[c][g[:, None], g].min()), fr.h_den[c])
         checks.append(CheckResult("convex_containment", best_h <= mg2,
                                   best_h, mg2, mg2 - best_h,
                                   note="aligned G minimizer admits a pair "
@@ -1107,7 +1206,7 @@ def verify_step(wf_before: WorkFunction, wf_after: WorkFunction,
     checks.extend(_lipschitz_probe(shared, cfg, nabla, mg2))
 
     if audit:
-        checks.append(_audit(wf_after, cfg, mf2, tf2, mg2, tg2))
+        checks.append(_audit(shared, cfg, mf2, tf2, mg2, tg2))
 
     return LemmaReport(wf_before.i, case, nabla, dmax, dmin, swapped,
                        phi1, phi2, ratio, tuple(checks),

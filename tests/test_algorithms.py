@@ -202,6 +202,30 @@ def test_run_all_raises_what_its_first_failing_config_raises_alone(monkeypatch):
         run(inst, configs[2], True)
 
 
+def test_a_stacked_audit_fails_only_its_own_config(monkeypatch):
+    """A step's audit minima are taken for all its configs at once; one
+    config's false minimum fails that config alone, with the error its own
+    run raises, and the config before it runs clean."""
+    inst = plane_instance(random.Random(76), 4, bound=1)
+    true_minima = potential._audit_minima
+
+    def false_minima(wf, stack):
+        return {cfg: (mid_f - 1, *rest) if (cfg.lam, wf.i) == (Fraction(3, 4), 3)
+                else (mid_f, *rest)
+                for cfg, (mid_f, *rest) in true_minima(wf, stack).items()}
+
+    monkeypatch.setattr(potential, "_audit_minima", false_minima)
+    configs = [AlgorithmConfig("wfa", HALF), AlgorithmConfig("wfa", Fraction(3, 4))]
+    with pytest.raises(AuditError) as lockstep:
+        run_all(inst, configs, True, audit=True)
+    with pytest.raises(AuditError) as alone:
+        run(inst, configs[1], True, audit=True)
+    assert str(lockstep.value) == str(alone.value)
+    assert str(alone.value).startswith("step 2: midpoint refinement improved min F")
+    assert lockstep.value.algorithm == configs[1]
+    assert run(inst, configs[0], True, audit=True).lemma_failures == 0
+
+
 def test_run_all_reports_a_config_refused_at_the_start_in_its_place():
     """A potential that cannot verify a config fails that config before any
     step, as run would: after configs that run clean it is the error, before

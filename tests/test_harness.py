@@ -180,7 +180,8 @@ def test_experiment_parsing_rejects_bad_fields():
 
 
 # Batches a load refuses, and the start of the error naming why: an unknown
-# key, an algorithm listed twice, and an audit with nothing verified.
+# key, an algorithm listed twice, an audit with nothing verified, and a
+# constant the potential's variant does not have.
 REFUSED = [
     ({"verfy": True}, "unknown key 'verfy' in the experiment config"),
     ({"generator": {"kind": "uniform_random", "n": 3, "rnage": 2}},
@@ -193,13 +194,16 @@ REFUSED = [
      r"algorithm wfa\[1/2\] is listed twice"),
     ({"algorithms": ["greedy", "greedy"]}, "algorithm greedy is listed twice"),
     ({"audit": True}, "audit needs verify"),
+    ({"potential": {"variant": "cnn", "lambda": "1/2", "alpha": "1/30",
+                    "gamma": "1/100", "kappa": "1/5"}},
+     "unknown key 'kappa' in the potential config"),
 ]
 
 
 @pytest.mark.parametrize("fields,error", REFUSED,
                          ids=["experiment-key", "generator-key", "algorithm-key",
                               "lambdas-twice", "wfa-twice", "greedy-twice",
-                              "audit-unverified"])
+                              "audit-unverified", "potential-key"])
 def test_refused_batches_fail_at_load(tmp_path, fields, error):
     """A batch that would load a misspelt field as its default, write one
     algorithm's trace twice, or audit nothing is refused when it is loaded,

@@ -3,6 +3,7 @@
 import dataclasses
 import gc
 import random
+import sys
 import tracemalloc
 import weakref
 from collections import Counter
@@ -21,10 +22,10 @@ from wfalab.harness import GeneratorConfig, generate
 from wfalab.potential import (Boks, CnnPotential, GeneralPotential, Spheres,
                               _audit, _Base, _candidates,
                               _domination_samples, _Frame, _min_f_frame,
-                              _min_g_frame, config_from_json,
+                              _min_g_frame, _min_h_frame, config_from_json,
                               config_to_json, default_constants, f_value,
                               g_value, h_value, min_f, min_g, min_h, phi,
-                              region_slack, verify_step)
+                              region_slack, SharedStep, verify_step)
 from wfalab.problem import grid_points_on, serves
 from wfalab.workfn import WorkFunction, _AxisKit
 
@@ -111,6 +112,20 @@ def test_config_json_round_trip():
         config_from_json({"variant": "cnn", "lambda": "1/2"})
     with pytest.raises(ConfigError):
         config_from_json({"variant": "banana"})
+
+
+def test_config_from_json_refuses_unknown_keys():
+    """A constant of the other variant, or a misspelt one, is refused by
+    name rather than dropped."""
+    raw = {"variant": "cnn", "lambda": "1/2", "alpha": "1/30", "gamma": "1/100"}
+    assert config_from_json(raw) == CnnPotential(HALF, Fraction(1, 30), Fraction(1, 100))
+    with pytest.raises(ConfigError, match="^unknown key 'kappa' in the potential config$"):
+        config_from_json({**raw, "kappa": "1/5"})
+    general = config_to_json(default_constants(HALF, "general"))
+    with pytest.raises(ConfigError, match="^unknown key 'alpha' in the potential config$"):
+        config_from_json({**general, "alpha": "1/30"})
+    with pytest.raises(ConfigError, match="^unknown key 'lam' in the potential config$"):
+        config_from_json({**general, "lam": "1/2"})
 
 
 def region_membership(region, t: ProductPoint, instance=None) -> bool:
@@ -346,39 +361,91 @@ def test_frame_rows_match_the_fraction_oracle(maker):
         if variant == "cnn" and maker == "finite":
             continue
         cfg = default_constants(lam, variant)
-        fr = _Frame(_Base(wf, 2, P), cfg)
+        # A one-config stack: the frame's slot 0 is cfg's.
+        fr = _Frame(_Base(wf, 2, P), [cfg])
         assert (fr.HT.dtype == object) == (maker == "wide")
         k = len(cands)
-        block = fr.f_row(np.arange(k)), fr.g_row(np.arange(k))
+        one = slice(0, 1)
+        block = fr.f_row(one, np.arange(k))[0], fr.g_row(one, np.arange(k))[0]
         triples = [a.ravel() for a in np.indices((k, k, k))]
-        at = (fr.f_at(*triples).reshape(k, k, k),
-              fr.g_at(*triples).reshape(k, k, k))
+        at = (fr.f_at(0, *triples).reshape(k, k, k),
+              fr.g_at(0, *triples).reshape(k, k, k))
         for i, a in enumerate(cands):
-            F, G = fr.f_row(i), fr.g_row(i)
+            F, G = fr.f_row(one, [i])[0, 0], fr.g_row(one, [i])[0, 0]
             assert (block[0][i] == F).all() and (block[1][i] == G).all()
             for j, b in enumerate(cands):
                 for m, c in enumerate(cands):
-                    assert Fraction(int(F[j, m]), fr.f_den) == f_value(wf, a, b, c, cfg)
-                    assert Fraction(int(G[j, m]), fr.g_den) == g_value(wf, a, b, c, cfg)
+                    assert Fraction(int(F[j, m]), fr.f_den[0]) == f_value(wf, a, b, c, cfg)
+                    assert Fraction(int(G[j, m]), fr.g_den[0]) == g_value(wf, a, b, c, cfg)
                     assert at[0][i, j, m] == F[j, m] and at[1][i, j, m] == G[j, m]
+
+
+STACKS = {"plane": (plane_instance, "cnn", [Fraction(1, 4), HALF, Fraction(3, 4)]),
+          "weighted": (weighted_instance, "cnn", [Fraction(1, 3), Fraction(5, 7)]),
+          "finite": (finite_instance, "general", [Fraction(1, 4), HALF, Fraction(3, 4)]),
+          "mixed": (mixed_instance, "general", [Fraction(1, 3), Fraction(2, 3)]),
+          "wide": (lambda rng, n: wide_instance(), "cnn",
+                   [Fraction(997, 1000), Fraction(991, 1000)]),
+          # int64 alone at 1/2, Python ints alone at 997/1000.
+          "int64+object": (lambda rng, n: wide_instance(), "cnn",
+                           [HALF, Fraction(997, 1000)])}
+
+
+@pytest.mark.parametrize("maker", list(STACKS))
+def test_stacked_minima_are_each_configs_alone(maker, monkeypatch):
+    """Each config's min F, G and H in a stack, value and witness rows, is
+    the one its one-config stack gives, on the memo's candidates and the
+    audit's refined ones, whether the rows go in one block, one config and
+    one row at a time, two configs a row at a time, or all configs two rows
+    at a time."""
+    make, variant, lams = STACKS[maker]
+    stack = [default_constants(lam, variant) for lam in lams]
+    for _, wf, _ in steps(make(random.Random(86), 5)):
+        for m in (1, 2):
+            base = _Base(wf, m, _candidates(wf, m))
+            alone = [_Frame(base, [cfg]) for cfg in stack]
+            if maker == "int64+object":
+                assert [fr.HT.dtype for fr in alone] == [np.int64, object]
+            want = [[kernel(fr)[0] for fr in alone]
+                    for kernel in (_min_f_frame, _min_g_frame, _min_h_frame)]
+            fr = _Frame(base, stack)
+            assert fr.HT.dtype == alone[-1].HT.dtype
+            # Entries in one row of one config.
+            row = len(base.P) * len(base.GW) * len(base.P)
+            for block in (potential._BLOCK_ENTRIES, 1, 2 * row, 2 * len(stack) * row):
+                monkeypatch.setattr(potential, "_BLOCK_ENTRIES", block)
+                assert [kernel(fr) for kernel in (_min_f_frame, _min_g_frame,
+                                                  _min_h_frame)] == want
+            monkeypatch.undo()
+
+
+def test_a_frame_stacks_configs_of_one_class():
+    wf = run_to_end(plane_instance(random.Random(87), 3))
+    with pytest.raises(ConfigError, match="one class"):
+        _Frame(_Base(wf, 1, _candidates(wf)),
+               [default_constants(HALF), default_constants(HALF, "general")])
 
 
 def test_triple_minima_hold_no_cubic_table():
     """min F and min G run row by row: at k = 160 candidates each peaks
-    under a quarter of a k x k x k int64 table."""
+    under a quarter of a k x k x k int64 table, for one config and for a
+    stack of nine."""
     inst = generate(GeneratorConfig("uniform_random", n=80, coord_range=1000), 1)
     wf = run_to_end(inst)
-    fr = _Frame(_Base(wf, 1, _candidates(wf)), default_constants(HALF))
-    k = len(fr.P)
+    base = _Base(wf, 1, _candidates(wf))
+    k = len(base.P)
     assert k >= 160
-    for kernel in (_min_f_frame, _min_g_frame):
-        tracemalloc.start()
-        try:
-            kernel(fr)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < k ** 3 * 8 / 4, (kernel.__name__, peak)
+    nine = [default_constants(Fraction(n, 10)) for n in range(1, 10)]
+    for stack in ([default_constants(HALF)], nine):
+        fr = _Frame(base, stack)
+        for kernel in (_min_f_frame, _min_g_frame):
+            tracemalloc.start()
+            try:
+                kernel(fr)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < k ** 3 * 8 / 4, (len(stack), kernel.__name__, peak)
 
 
 def test_h_value_is_symmetric():
@@ -496,23 +563,39 @@ def test_lipschitz_probe_is_advisory():
 
 
 def test_audit_passes_and_detects_false_minima():
+    """Audited steps pass on plane, finite and mixed runs, and a false min F
+    or min G raises at the last step's audit: the midpoint pass compares
+    its minima with the reported ones, also where, with no line axis, they
+    are the memo's."""
     rng = random.Random(73)
-    inst = plane_instance(rng, 3, bound=2)
-    cfg = default_constants(HALF)
-    wf = initial(inst)
-    for r in inst.requests:
-        nxt = wf.update(r)
-        report = verify_step(wf, nxt, cfg, audit=True)
-        assert report.failures == 0
-        assert any(c.name == "audit_no_improvement" and c.holds
-                   for c in report.checks)
-        wf = nxt
-    vf, tf = min_f(wf, cfg)
-    vg, tg = min_g(wf, cfg)
-    with pytest.raises(AuditError):
-        _audit(wf, cfg, vf + 1, tf, vg, tg)
-    with pytest.raises(AuditError):
-        _audit(wf, cfg, vf, tf, vg + 1, tg)
+    cases = [(plane_instance(rng, 3, bound=2), "cnn"),
+             (finite_instance(rng, 4), "general"),
+             (mixed_instance(rng, 4), "general")]
+    for inst, variant in cases:
+        cfg = default_constants(HALF, variant)
+        wf = initial(inst)
+        for r in inst.requests:
+            nxt = wf.update(r)
+            report = verify_step(wf, nxt, cfg, audit=True)
+            assert report.failures == 0
+            assert any(c.name == "audit_no_improvement" and c.holds
+                       for c in report.checks)
+            before, wf = wf, nxt
+        shared = SharedStep(before, wf, (cfg,), {})
+        vf, tf = min_f(wf, cfg)
+        vg, tg = min_g(wf, cfg)
+        with pytest.raises(AuditError, match="^midpoint refinement improved min F"):
+            _audit(shared, cfg, vf + 1, tf, vg, tg)
+        with pytest.raises(AuditError, match="^midpoint refinement improved min G"):
+            _audit(shared, cfg, vf, tf, vg + 1, tg)
+
+
+def test_refined_candidates_are_the_candidates_on_finite_axes():
+    """With no line axis there are no midpoints: the audit's refined
+    candidates are the memo's, which is why its midpoint pass reads the
+    memo's minima there."""
+    for _, wf, _ in steps(finite_instance(random.Random(84), 6)):
+        assert np.array_equal(_candidates(wf, 2), _candidates(wf))
 
 
 def test_verified_runs_with_general_constants_on_weighted_lines():
@@ -773,51 +856,68 @@ def test_verified_plane_step_converts_no_points(monkeypatch):
     assert calls["evaluate"] == 1
 
 
-# Nine verified lambdas: more configs than the frames a step reads back.
+# Nine verified lambdas: more configs than the frames a step builds.
 NINE_LAMBDAS = [AlgorithmConfig("wfa", Fraction(k, 10)) for k in range(1, 10)]
 
 
 def test_a_verified_run_builds_each_base_and_minimum_once(monkeypatch):
-    """Over a lockstep run verifying nine lambdas, every work function whose
-    minima are taken (the run's and the probe's) gets one base, each of its
-    configs one frame on it, and each (work function, config, kernel)
-    minimum is computed once; the other frames are the domination checks',
-    at most one per verified config and step."""
-    inst = generate(GeneratorConfig("uniform_random", n=8), 1)
-    # id of a base or frame -> (it, kept so that no id is reused; its work
-    # function; its config, None for a base; its base's id)
-    made = {}
+    """A verified lockstep run builds a number of frames per step that does
+    not depend on how many configs it verifies: each work function whose
+    minima are taken (the run's and the probe's) gets one frame, stacking
+    every config; a step gets at most one domination frame and, audited, at
+    most two audit frames, with no refined one where no axis is a line.
+    Each (work function, config, kernel) minimum is computed once."""
+    # (function that built it, its work function, its base's m, its configs)
+    built = []
     minima = Counter()
     base_init, frame_init = _Base.__init__, _Frame.__init__
 
     def counted_base(self, wf, m, P):
         base_init(self, wf, m, P)
-        made[id(self)] = self, wf, None, id(self)
+        self.made = wf, m
 
-    def counted_frame(self, base, cfg):
-        frame_init(self, base, cfg)
-        made[id(self)] = self, made[id(base)][1], cfg, id(base)
+    def counted_frame(self, base, cfgs):
+        frame_init(self, base, cfgs)
+        self.made = (sys._getframe(1).f_code.co_name, *base.made, self.cfgs)
+        built.append(self.made)
+
+    def counted_kernel(fr, _k):
+        minima.update((*fr.made[:3], cfg, _k.__name__) for cfg in fr.cfgs)
+        return _k(fr)
 
     monkeypatch.setattr(_Base, "__init__", counted_base)
     monkeypatch.setattr(_Frame, "__init__", counted_frame)
     for name in ("_min_f_frame", "_min_g_frame", "_min_h_frame"):
         monkeypatch.setattr(potential, name, lambda fr, _k=getattr(potential, name):
-                            minima.update([(id(fr), _k)]) or _k(fr))
-    traces = run_all(inst, NINE_LAMBDAS, verify=True)
-    assert all(t.lemma_failures == 0 for t in traces)
+                            counted_kernel(fr, _k))
+    cases = [("uniform_random", "cnn", NINE_LAMBDAS, False),
+             ("uniform_random", "cnn", NINE_LAMBDAS[1::3], True),
+             ("finite_uniform", "general", NINE_LAMBDAS[1::3], True)]
+    for kind, variant, configs, audit in cases:
+        built.clear()
+        minima.clear()
+        inst = generate(GeneratorConfig(kind, n=6, coord_range=2), 1)
+        traces = run_all(inst, configs, True, variant, audit=audit)
+        assert all(t.lemma_failures == 0 for t in traces)
+        stack = tuple(default_constants(c.lam, variant) for c in configs)
+        assert all(made[3] == stack for made in built)
 
-    assert minima and set(minima.values()) == {1}
-    read = {fr for fr, _ in minima}
-    pairs = [made[fr][1:3] for fr in read]
-    wfs = {wf for wf, _ in pairs}
-    # W before each of the 8 requests and after the last, and the probe's W
-    # after each moved request.
-    assert len(wfs) == 2 * 8 + 1
-    assert len(pairs) == len(set(pairs)) == len(wfs) * len(NINE_LAMBDAS)
-    assert len({made[fr][3] for fr in read}) == len(wfs)
-    bases = [k for k, (_, _, cfg, _) in made.items() if cfg is None]
-    frames = [k for k, (_, _, cfg, _) in made.items() if cfg is not None]
-    assert len(bases) - len(wfs) == len(frames) - len(read) <= 8 * len(NINE_LAMBDAS)
+        assert minima and set(minima.values()) == {1}
+        by = {name: [made[1:3] for made in built if made[0] == name]
+              for name in ("_memo", "_domination_tables", "_audit_minima")}
+        assert len(built) == sum(map(len, by.values()))
+        wfs = [wf for wf, _ in by["_memo"]]
+        assert len(set(wfs)) == len(wfs) == len({key[1] for key in minima
+                                                 if key[0] == "_memo"})
+        # W before each of the 6 requests and after the last, and, where the
+        # minor axis is a line, the probe's W after each moved request.
+        assert len(wfs) == 6 + 1 + (6 if kind == "uniform_random" else 0)
+        assert 0 < len(by["_domination_tables"]) <= 6
+        audited = Counter(wf for wf, _ in by["_audit_minima"])
+        assert len(audited) == (6 if audit else 0)
+        assert all(n <= 2 for n in audited.values())
+        refined = [wf for wf, m in by["_audit_minima"] if m == 2]
+        assert (kind == "finite_uniform") == (audit and not refined)
 
 
 def test_a_verified_run_leaves_no_work_function_alive(monkeypatch):
